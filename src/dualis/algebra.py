@@ -17,33 +17,16 @@ from .errors import (
     ValidationError,
 )
 from .fields import Field
-from .linalg import RowSpace, SparseMatrix, basis_vec, intersect_spans, vec_is_zero
-
-
-def _clean_table(F: Field, mult: dict) -> dict:
-    out = {}
-    for key, terms in mult.items():
-        keep = {k: v for k, v in terms.items() if not F.is_zero(v)}
-        if keep:
-            out[key] = keep
-    return out
-
-
-def _mul_dict(F: Field, mult: dict, x: dict, y: dict) -> dict:
-    acc: dict = {}
-    for i, xi in x.items():
-        for j, yj in y.items():
-            terms = mult.get((i, j))
-            if not terms:
-                continue
-            c = F.mul(xi, yj)
-            for k, v in terms.items():
-                s = F.add(acc.get(k, F.zero), F.mul(c, v))
-                if F.is_zero(s):
-                    acc.pop(k, None)
-                else:
-                    acc[k] = s
-    return acc
+from .linalg import (
+    RowSpace,
+    SparseMatrix,
+    axpy,
+    bilinear,
+    dense_vec,
+    intersect_spans,
+    prune,
+    sparse_vec,
+)
 
 
 def check_associative(F: Field, mult: dict, dim: int) -> None:
@@ -66,9 +49,10 @@ def check_associative(F: Field, mult: dict, dim: int) -> None:
         for l in terms:
             for i in left_of.get(l, ()):
                 triples.add((i, j, k))
+    one = F.one
     for (i, j, k) in triples:
-        lhs = _mul_dict(F, mult, mult.get((i, j), {}), {k: F.one})
-        rhs = _mul_dict(F, mult, {i: F.one}, mult.get((j, k), {}))
+        lhs = bilinear(F, mult, mult.get((i, j), {}), {k: one})
+        rhs = bilinear(F, mult, {i: one}, mult.get((j, k), {}))
         if lhs != rhs:
             raise ValidationError(f"associativity fails at basis triple ({i},{j},{k})")
 
@@ -90,47 +74,30 @@ class FinAlgebra:
             for k in terms:
                 if not 0 <= k < self.dim:
                     raise DimensionMismatch(f"mult target {k} out of range")
-        object.__setattr__(self, "mult", _clean_table(F, self.mult))
+        object.__setattr__(self, "mult", prune(F, self.mult))
         check_associative(F, self.mult, self.dim)
         if self.unit is not None:
             u = tuple(self.unit)
             if len(u) != self.dim:
                 raise DimensionMismatch("unit has wrong length")
             object.__setattr__(self, "unit", u)
-            ud = {i: c for i, c in enumerate(u) if not F.is_zero(c)}
+            ud = sparse_vec(F, u)
             for i in range(self.dim):
                 e = {i: F.one}
-                if _mul_dict(F, self.mult, ud, e) != e or _mul_dict(F, self.mult, e, ud) != e:
+                if bilinear(F, self.mult, ud, e) != e or bilinear(F, self.mult, e, ud) != e:
                     raise ValidationError(f"declared unit fails on basis element {i}")
 
     # -- products -------------------------------------------------------------
 
     def multiply(self, x: tuple, y: tuple) -> tuple:
         F = self.field
-        xd = {i: v for i, v in enumerate(x) if not F.is_zero(v)}
-        yd = {i: v for i, v in enumerate(y) if not F.is_zero(v)}
-        acc = _mul_dict(F, self.mult, xd, yd)
-        out = [F.zero] * self.dim
-        for k, v in acc.items():
-            out[k] = v
-        return tuple(out)
+        return dense_vec(F, self.dim, bilinear(F, self.mult, sparse_vec(F, x), sparse_vec(F, y)))
 
     def basis_product(self, i: int, j: int) -> dict:
         return dict(self.mult.get((i, j), {}))
 
     def is_unital(self) -> bool:
         return self.unit is not None
-
-    def left_mult_matrix(self, x: tuple) -> SparseMatrix:
-        """Matrix of y -> x*y on the algebra's own basis."""
-        F = self.field
-        ent = {}
-        xd = {i: v for i, v in enumerate(x) if not F.is_zero(v)}
-        for j in range(self.dim):
-            col = _mul_dict(F, self.mult, xd, {j: F.one})
-            for k, v in col.items():
-                ent[(k, j)] = v
-        return SparseMatrix(F, self.dim, self.dim, ent)
 
 
 def matrix_algebra(F: Field, n: int) -> FinAlgebra:
@@ -161,14 +128,13 @@ class AlgebraMorphism:
         F = self.source.field
         if F != self.target.field:
             raise ValidationError("morphism between different base fields")
-        images = [self.matrix.apply(basis_vec(F, self.source.dim, i))
-                  for i in range(self.source.dim)]
+        images = self.matrix.columns()
         for i in range(self.source.dim):
             for j in range(self.source.dim):
-                lhs = self.matrix.apply(self.source.multiply(
-                    basis_vec(F, self.source.dim, i), basis_vec(F, self.source.dim, j)))
-                rhs = self.target.multiply(images[i], images[j])
-                if lhs != rhs:
+                lhs: dict = {}
+                for k, c in self.source.mult.get((i, j), {}).items():
+                    axpy(F, lhs, c, images[k])
+                if lhs != bilinear(F, self.target.mult, images[i], images[j]):
                     raise ValidationError(f"morphism not multiplicative at ({i},{j})")
         if self.unital:
             if self.source.unit is None or self.target.unit is None:
@@ -232,12 +198,9 @@ def regular_matrix_embedding(A: FinAlgebra) -> AlgebraMorphism:
     M = matrix_algebra(F, n + 1)
     ent = {}
     for i in range(n):
-        a = basis_vec(F, n + 1, i)
         for c in range(n + 1):
-            col = A1.multiply(a, basis_vec(F, n + 1, c))
-            for r, v in enumerate(col):
-                if not F.is_zero(v):
-                    ent[(r * (n + 1) + c, i)] = v
+            for r, v in A1.mult.get((i, c), {}).items():
+                ent[(r * (n + 1) + c, i)] = v
     mor = AlgebraMorphism(A, M, SparseMatrix(F, (n + 1) ** 2, n, ent))
     if not mor.is_injective():
         raise ValidationError("regular embedding unexpectedly non-injective")
@@ -265,13 +228,14 @@ class SubspaceIdeal:
             raise ValidationError("ideal basis is linearly dependent")
         object.__setattr__(self, "basis", tuple(rs.basis()))
         for v in self.basis:
+            vd = sparse_vec(F, v)
             for i in range(A.dim):
-                e = basis_vec(F, A.dim, i)
+                e = {i: F.one}
                 if self.sided in ("left", "two"):
-                    if not rs.contains(A.multiply(e, v)):
+                    if not rs.contains(bilinear(F, A.mult, e, vd)):
                         raise ValidationError("subspace not closed under left multiplication")
                 if self.sided in ("right", "two"):
-                    if not rs.contains(A.multiply(v, e)):
+                    if not rs.contains(bilinear(F, A.mult, vd, e)):
                         raise ValidationError("subspace not closed under right multiplication")
 
     @property
@@ -291,17 +255,17 @@ def ideal_closure(A: FinAlgebra, seed_vectors, sided: str = "two") -> SubspaceId
     queue = []
     for v in seed_vectors:
         if rs.add(v):
-            queue.append(tuple(v))
+            queue.append(sparse_vec(F, v))
     while queue:
         v = queue.pop()
         for i in range(A.dim):
-            e = basis_vec(F, A.dim, i)
+            e = {i: F.one}
             if sided in ("left", "two"):
-                w = A.multiply(e, v)
+                w = bilinear(F, A.mult, e, v)
                 if rs.add(w):
                     queue.append(w)
             if sided in ("right", "two"):
-                w = A.multiply(v, e)
+                w = bilinear(F, A.mult, v, e)
                 if rs.add(w):
                     queue.append(w)
     return SubspaceIdeal(A, tuple(rs.basis()), sided)
@@ -319,22 +283,21 @@ def quotient_algebra(A: FinAlgebra, I: SubspaceIdeal) -> tuple[FinAlgebra, Algeb
     comp = [c for c in range(A.dim) if c not in pivots]
     q = len(comp)
 
-    def project(vec: tuple) -> tuple:
+    def project(vec) -> tuple:
         res = rs.residual(vec)
         return tuple(res[c] for c in comp)
 
     mult = {}
     for a, ca in enumerate(comp):
         for b, cb in enumerate(comp):
-            prod = project(A.multiply(basis_vec(F, A.dim, ca), basis_vec(F, A.dim, cb)))
-            terms = {k: v for k, v in enumerate(prod) if not F.is_zero(v)}
+            terms = sparse_vec(F, project(A.mult.get((ca, cb), {})))
             if terms:
                 mult[(a, b)] = terms
     unit = project(A.unit) if A.unit is not None else None
     Q = FinAlgebra(F, q, mult, unit)
     ent = {}
     for i in range(A.dim):
-        col = project(basis_vec(F, A.dim, i))
+        col = project({i: F.one})
         for r, v in enumerate(col):
             if not F.is_zero(v):
                 ent[(r, i)] = v
@@ -353,16 +316,15 @@ def cofinite_two_sided_inside(A: FinAlgebra, I: SubspaceIdeal) -> SubspaceIdeal:
     comp = [c for c in range(A.dim) if c not in pivots]
     q = len(comp)
 
-    def project(vec: tuple) -> tuple:
+    def project(vec) -> tuple:
         res = rs.residual(vec)
         return tuple(res[c] for c in comp)
 
     # column i of the big matrix is phi(b_i) flattened (q*q entries)
     ent = {}
     for i in range(A.dim):
-        e = basis_vec(F, A.dim, i)
         for c, cc in enumerate(comp):
-            col = project(A.multiply(e, basis_vec(F, A.dim, cc)))
+            col = project(A.mult.get((i, cc), {}))
             for r, v in enumerate(col):
                 if not F.is_zero(v):
                     ent[(r * q + c, i)] = v

@@ -54,7 +54,6 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("spec", help="path to a JSON spec document")
     run.add_argument("--out", metavar="PATH",
                      help="also write the machine report to PATH")
-    run.add_argument("--workers", type=int, default=None)
     run.add_argument("--timings", action="store_true",
                      help="include per-check durations (non-canonical)")
 
@@ -62,7 +61,6 @@ def _parser() -> argparse.ArgumentParser:
                            help="run a built-in battery")
     suite.add_argument("name", choices=["paper-theorems", "randomized"])
     suite.add_argument("--out", metavar="PATH")
-    suite.add_argument("--workers", type=int, default=None)
     suite.add_argument("--timings", action="store_true")
     suite.add_argument("--trials", type=int, default=50,
                        help="randomized suite: trials per property")
@@ -108,8 +106,11 @@ def _named(doc, name: str, kinds: tuple):
 
 def _emit_report(report, args) -> int:
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.canonical_json() + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(report.canonical_json() + "\n")
+        except OSError as e:
+            raise InputError(f"cannot write {args.out}: {e}") from e
     if args.json:
         payload = report.payload(with_timings=getattr(args, "timings", False))
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
@@ -128,7 +129,7 @@ def _emit_block(block: dict, args) -> int:
 
 def _cmd_run(args) -> int:
     doc = _load_doc(args.spec)
-    report = run_document(doc, seed=args.seed, workers=args.workers)
+    report = run_document(doc, seed=args.seed)
     return _emit_report(report, args)
 
 
@@ -143,8 +144,7 @@ def _cmd_suite(args) -> int:
                             field=args.field)
     else:
         knobs = SuiteKnobs()
-    report = builtin_suite(args.name, seed=args.seed, knobs=knobs,
-                           workers=args.workers)
+    report = builtin_suite(args.name, seed=args.seed, knobs=knobs)
     return _emit_report(report, args)
 
 

@@ -7,7 +7,7 @@ exactly associativity of the transposed table, and the code leans on that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .algebra import (
     AlgebraMorphism,
@@ -19,16 +19,7 @@ from .algebra import (
 )
 from .errors import DimensionMismatch, ValidationError
 from .fields import Field
-from .linalg import RowSpace, SparseMatrix, basis_vec
-
-
-def _clean_comult(F: Field, comult: dict) -> dict:
-    out = {}
-    for k, terms in comult.items():
-        keep = {ij: v for ij, v in terms.items() if not F.is_zero(v)}
-        if keep:
-            out[k] = keep
-    return out
+from .linalg import RowSpace, SparseMatrix, axpy, basis_vec, dense_vec, prune, sparse_vec
 
 
 def transpose_comult(comult: dict) -> dict:
@@ -65,7 +56,7 @@ class FinCoalgebra:
             for (i, j) in terms:
                 if not (0 <= i < self.dim and 0 <= j < self.dim):
                     raise DimensionMismatch(f"comult target ({i},{j}) out of range")
-        object.__setattr__(self, "comult", _clean_comult(F, self.comult))
+        object.__setattr__(self, "comult", prune(F, self.comult))
         check_associative(F, transpose_comult(self.comult), self.dim)
         if self.counit is not None:
             eps = tuple(self.counit)
@@ -73,17 +64,11 @@ class FinCoalgebra:
                 raise DimensionMismatch("counit has wrong length")
             object.__setattr__(self, "counit", eps)
             for k in range(self.dim):
-                left = {}
-                right = {}
+                left: dict = {}
+                right: dict = {}
                 for (i, j), v in self.comult.get(k, {}).items():
-                    if not F.is_zero(eps[i]):
-                        s = F.add(left.get(j, F.zero), F.mul(eps[i], v))
-                        left[j] = s
-                    if not F.is_zero(eps[j]):
-                        s = F.add(right.get(i, F.zero), F.mul(eps[j], v))
-                        right[i] = s
-                left = {j: v for j, v in left.items() if not F.is_zero(v)}
-                right = {i: v for i, v in right.items() if not F.is_zero(v)}
+                    axpy(F, left, eps[i], {j: v})
+                    axpy(F, right, eps[j], {i: v})
                 if left != {k: F.one} or right != {k: F.one}:
                     raise ValidationError(f"counit axiom fails on basis element {k}")
 
@@ -93,15 +78,8 @@ class FinCoalgebra:
         """delta(x) as a sparse {(i,j): scalar} tensor."""
         F = self.field
         acc: dict = {}
-        for k, xk in enumerate(x):
-            if F.is_zero(xk):
-                continue
-            for ij, v in self.comult.get(k, {}).items():
-                s = F.add(acc.get(ij, F.zero), F.mul(xk, v))
-                if F.is_zero(s):
-                    acc.pop(ij, None)
-                else:
-                    acc[ij] = s
+        for k, xk in sparse_vec(F, x).items():
+            axpy(F, acc, xk, self.comult.get(k, {}))
         return acc
 
     def counit_of(self, x: tuple):
@@ -132,36 +110,26 @@ class CoalgebraMorphism:
         F = self.source.field
         if F != self.target.field:
             raise ValidationError("morphism between different base fields")
-        imgs: list[dict] = [dict() for _ in range(self.source.dim)]
-        for (s, k), v in self.matrix.entries.items():
-            imgs[k][s] = v
+        imgs = self.matrix.columns()
         for k in range(self.source.dim):
             lhs: dict = {}
             for s, c in imgs[k].items():
-                for ab, v in self.target.comult.get(s, {}).items():
-                    x = F.add(lhs.get(ab, F.zero), F.mul(c, v))
-                    if F.is_zero(x):
-                        lhs.pop(ab, None)
-                    else:
-                        lhs[ab] = x
+                axpy(F, lhs, c, self.target.comult.get(s, {}))
             rhs: dict = {}
             for (i, j), v in self.source.comult.get(k, {}).items():
                 for a, va in imgs[i].items():
-                    cva = F.mul(v, va)
-                    for b, vb in imgs[j].items():
-                        x = F.add(rhs.get((a, b), F.zero), F.mul(cva, vb))
-                        if F.is_zero(x):
-                            rhs.pop((a, b), None)
-                        else:
-                            rhs[(a, b)] = x
+                    axpy(F, rhs, F.mul(v, va), {(a, b): vb for b, vb in imgs[j].items()})
             if lhs != rhs:
                 raise ValidationError(f"coalgebra morphism fails on basis element {k}")
         if self.counital:
             if self.source.counit is None or self.target.counit is None:
                 raise ValidationError("counital morphism requires counits on both sides")
-            for k in range(self.source.dim):
-                img = self.matrix.apply(basis_vec(F, self.source.dim, k))
-                if self.target.counit_of(img) != self.source.counit[k]:
+            eps = self.target.counit
+            for k, img in enumerate(imgs):
+                s = F.zero
+                for t, v in img.items():
+                    s = F.add(s, F.mul(eps[t], v))
+                if s != self.source.counit[k]:
                     raise ValidationError("morphism does not preserve the counit")
 
     def __call__(self, x: tuple) -> tuple:
@@ -223,8 +191,8 @@ def counital_lift(f: CoalgebraMorphism, C1: FinCoalgebra, proj: CoalgebraMorphis
     stacked = SparseMatrix(F, proj.matrix.rows + 1, n, ent)
     freedom = len(stacked.kernel_basis()) * D.dim
     cols = {}
-    for k in range(D.dim):
-        rhs = tuple(list(f.matrix.apply(basis_vec(F, D.dim, k))) + [D.counit[k]])
+    for k, fk in enumerate(f.matrix.columns()):
+        rhs = dense_vec(F, f.matrix.rows, fk) + (D.counit[k],)
         sol = stacked.solve(rhs)
         if sol is None:
             raise ValidationError("lift constraints are inconsistent")
@@ -235,27 +203,39 @@ def counital_lift(f: CoalgebraMorphism, C1: FinCoalgebra, proj: CoalgebraMorphis
             if not F.is_zero(v):
                 ent[(i, k)] = v
     g = CoalgebraMorphism(D, C1, SparseMatrix(F, n, D.dim, ent), counital=True)
-    for k in range(D.dim):
-        e = basis_vec(F, D.dim, k)
-        if proj(g(e)) != f(e):
-            raise ValidationError("lift does not project back to f")
+    if proj.matrix @ g.matrix != f.matrix:
+        raise ValidationError("lift does not project back to f")
     return g, freedom
 
 
 # ---------------------------------------------------------------------------
 # duals
 
+def _trusted(cls, *values):
+    """An instance of cls built without running its validation.
+
+    Only for the transpose of a validated (co)algebra: coassociativity is
+    associativity of the transposed table, and the (co)unit equations are
+    the same equations read backwards, so the input already passed every
+    check the constructor would run.
+    """
+    obj = object.__new__(cls)
+    for f, v in zip(fields(cls), values):
+        object.__setattr__(obj, f.name, v)
+    return obj
+
+
 def dual_algebra(C: FinCoalgebra) -> FinAlgebra:
-    """Convolution algebra on the dual basis; unital exactly when C is counital."""
-    return FinAlgebra(C.field, C.dim, transpose_comult(C.comult),
-                      tuple(C.counit) if C.counit is not None else None)
+    """Convolution algebra on the dual basis; unital exactly when C is
+    counital.  Reuses the validation of C."""
+    return _trusted(FinAlgebra, C.field, C.dim, transpose_comult(C.comult), C.counit)
 
 
 def dual_coalgebra(A: FinAlgebra) -> FinCoalgebra:
     """Full dual of a finite-dimensional algebra as a coalgebra on the dual
-    basis; the counit is evaluation at the unit, when there is one."""
-    return FinCoalgebra(A.field, A.dim, transpose_mult(A.mult),
-                        tuple(A.unit) if A.unit is not None else None)
+    basis; the counit is evaluation at the unit, when there is one.  Reuses
+    the validation of A."""
+    return _trusted(FinCoalgebra, A.field, A.dim, transpose_mult(A.mult), A.unit)
 
 
 def dual_unitalization_iso(C: FinCoalgebra) -> AlgebraMorphism:
@@ -297,24 +277,17 @@ def comatrix_cover(C: FinCoalgebra) -> CoalgebraMorphism:
     if theta.matrix.rank() != C.dim:
         raise ValidationError("comatrix cover is not surjective")
     # the image family satisfies the comatrix identity in C
-    family = [theta(basis_vec(F, n * n, idx)) for idx in range(n * n)]
+    family = theta.matrix.columns()
     for i in range(n):
         for j in range(n):
-            lhs = C.comult_of(family[i * n + j])
+            lhs: dict = {}
+            for s, v in family[i * n + j].items():
+                axpy(F, lhs, v, C.comult.get(s, {}))
             rhs: dict = {}
             for k in range(n):
-                a, b = family[i * n + k], family[k * n + j]
-                for s, va in enumerate(a):
-                    if F.is_zero(va):
-                        continue
-                    for t, vb in enumerate(b):
-                        if F.is_zero(vb):
-                            continue
-                        x = F.add(rhs.get((s, t), F.zero), F.mul(va, vb))
-                        if F.is_zero(x):
-                            rhs.pop((s, t), None)
-                        else:
-                            rhs[(s, t)] = x
+                b = family[k * n + j]
+                for s, va in family[i * n + k].items():
+                    axpy(F, rhs, va, {(s, t): vb for t, vb in b.items()})
             if lhs != rhs:
                 raise ValidationError(f"comatrix identity fails at ({i},{j})")
     return theta
@@ -348,21 +321,16 @@ def subcoalgebra_on_span(C: FinCoalgebra, vectors) -> tuple[FinCoalgebra, Coalge
                 raise ValidationError("span is not a subcoalgebra")
         # rewrite the tensor in the sub-basis, first by rows then by columns
         terms = {}
-        mids: dict[int, list] = {}
+        mids: dict[int, dict] = {}
         for (i, j), v in tensor.items():
-            mids.setdefault(i, [F.zero] * C.dim)[j] = v
-        for i, row in list(mids.items()):
-            coords = rs.coords(tuple(row))
-            for b, cb in enumerate(coords):
+            mids.setdefault(i, {})[j] = v
+        for i, row in mids.items():
+            for b, cb in enumerate(rs.coords(row)):
                 if not F.is_zero(cb):
                     terms.setdefault(b, {})[i] = cb
         table = {}
         for b, by_i in terms.items():
-            vec_i = [F.zero] * C.dim
-            for i, c in by_i.items():
-                vec_i[i] = c
-            coords = rs.coords(tuple(vec_i))
-            for a2, ca in enumerate(coords):
+            for a2, ca in enumerate(rs.coords(by_i)):
                 if not F.is_zero(ca):
                     table[(a2, b)] = ca
         if table:
@@ -418,9 +386,8 @@ def coradical(C: FinCoalgebra) -> tuple[FinCoalgebra, CoalgebraMorphism]:
     for i in range(len(vectors) - 1):
         probes.append(tuple(F.add(a, b) for a, b in zip(vectors[i], vectors[i + 1])))
     for v in probes:
-        sub, sub_incl = subcoalgebra_generated(C, v)
-        for b in range(sub.dim):
-            img = sub_incl(basis_vec(F, sub.dim, b))
+        _, sub_incl = subcoalgebra_generated(C, v)
+        for img in sub_incl.matrix.columns():
             if not rs.contains(img):
                 raise ValidationError("socle candidate is not closed under generation")
     return D, incl

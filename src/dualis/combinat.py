@@ -183,6 +183,20 @@ def verify_pathdual_iso(F: Field, Q: Quiver, max_len: int | None = None
 # ---------------------------------------------------------------------------
 # posets and incidence structures
 
+def transitive_closure(pairs) -> set:
+    """Smallest transitive relation containing the given pairs."""
+    strict = set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(strict):
+            for (c, d) in list(strict):
+                if b == c and (a, d) not in strict:
+                    strict.add((a, d))
+                    changed = True
+    return strict
+
+
 @dataclass(frozen=True)
 class Poset:
     """Finite poset; relation holds the pairs (a, b) with a <= b."""

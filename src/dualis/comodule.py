@@ -17,16 +17,7 @@ from .algebra import FinAlgebra
 from .coalgebra import FinCoalgebra, counitalize, dual_algebra, dual_coalgebra
 from .errors import DimensionMismatch, ValidationError
 from .fields import Field
-from .linalg import RowSpace, SparseMatrix, basis_vec
-
-
-def _clean_nested(F: Field, table: dict) -> dict:
-    out = {}
-    for k, terms in table.items():
-        keep = {t: v for t, v in terms.items() if not F.is_zero(v)}
-        if keep:
-            out[k] = keep
-    return out
+from .linalg import RowSpace, SparseMatrix, axpy, basis_vec, bilinear, dense_vec, prune, sparse_vec
 
 
 @dataclass(frozen=True)
@@ -46,36 +37,20 @@ class FinComodule:
             for (s, k) in terms:
                 if not (0 <= s < self.dim and 0 <= k < C.dim):
                     raise DimensionMismatch(f"coaction target ({s},{k}) out of range")
-        object.__setattr__(self, "coaction", _clean_nested(F, self.coaction))
+        object.__setattr__(self, "coaction", prune(F, self.coaction))
         for t in range(self.dim):
             lhs: dict = {}
             rhs: dict = {}
             for (s, k), v in self.coaction.get(t, {}).items():
-                for (i, j), w in C.comult.get(k, {}).items():
-                    key = (s, i, j)
-                    x = F.add(lhs.get(key, F.zero), F.mul(v, w))
-                    if F.is_zero(x):
-                        lhs.pop(key, None)
-                    else:
-                        lhs[key] = x
-                for (u, i), w in self.coaction.get(s, {}).items():
-                    key = (u, i, k)
-                    x = F.add(rhs.get(key, F.zero), F.mul(v, w))
-                    if F.is_zero(x):
-                        rhs.pop(key, None)
-                    else:
-                        rhs[key] = x
+                axpy(F, lhs, v, {(s, i, j): w for (i, j), w in C.comult.get(k, {}).items()})
+                axpy(F, rhs, v, {(u, i, k): w for (u, i), w in self.coaction.get(s, {}).items()})
             if lhs != rhs:
                 raise ValidationError(f"coaction not coassociative at basis element {t}")
         if C.counit is not None:
             for t in range(self.dim):
                 acc: dict = {}
                 for (s, k), v in self.coaction.get(t, {}).items():
-                    x = F.add(acc.get(s, F.zero), F.mul(v, C.counit[k]))
-                    if F.is_zero(x):
-                        acc.pop(s, None)
-                    else:
-                        acc[s] = x
+                    axpy(F, acc, v, {s: C.counit[k]})
                 if acc != {t: F.one}:
                     raise ValidationError(f"counit law fails at basis element {t}")
 
@@ -83,15 +58,8 @@ class FinComodule:
         """rho(x) as a sparse {(s,k): scalar} tensor."""
         F = self.coalgebra.field
         acc: dict = {}
-        for t, xt in enumerate(x):
-            if F.is_zero(xt):
-                continue
-            for sk, v in self.coaction.get(t, {}).items():
-                y = F.add(acc.get(sk, F.zero), F.mul(xt, v))
-                if F.is_zero(y):
-                    acc.pop(sk, None)
-                else:
-                    acc[sk] = y
+        for t, xt in sparse_vec(F, x).items():
+            axpy(F, acc, xt, self.coaction.get(t, {}))
         return acc
 
 
@@ -112,7 +80,7 @@ class FinModule:
             for s in terms:
                 if not 0 <= s < self.dim:
                     raise DimensionMismatch(f"action target {s} out of range")
-        object.__setattr__(self, "action", _clean_nested(F, self.action))
+        object.__setattr__(self, "action", prune(F, self.action))
         for i in range(A.dim):
             for j in range(A.dim):
                 prod = A.mult.get((i, j), {})
@@ -121,51 +89,25 @@ class FinModule:
                         continue
                     lhs: dict = {}
                     for k, c in prod.items():
-                        for s, v in self.action.get((k, t), {}).items():
-                            x = F.add(lhs.get(s, F.zero), F.mul(c, v))
-                            if F.is_zero(x):
-                                lhs.pop(s, None)
-                            else:
-                                lhs[s] = x
+                        axpy(F, lhs, c, self.action.get((k, t), {}))
                     rhs: dict = {}
                     for s, v in self.action.get((j, t), {}).items():
-                        for u, w in self.action.get((i, s), {}).items():
-                            x = F.add(rhs.get(u, F.zero), F.mul(v, w))
-                            if F.is_zero(x):
-                                rhs.pop(u, None)
-                            else:
-                                rhs[u] = x
+                        axpy(F, rhs, v, self.action.get((i, s), {}))
                     if lhs != rhs:
                         raise ValidationError(
                             f"action not associative at ({i},{j},{t})")
         if A.unit is not None:
+            unit = sparse_vec(F, A.unit)
             for t in range(self.dim):
                 acc: dict = {}
-                for i, ui in enumerate(A.unit):
-                    if F.is_zero(ui):
-                        continue
-                    for s, v in self.action.get((i, t), {}).items():
-                        x = F.add(acc.get(s, F.zero), F.mul(ui, v))
-                        if F.is_zero(x):
-                            acc.pop(s, None)
-                        else:
-                            acc[s] = x
+                for i, ui in unit.items():
+                    axpy(F, acc, ui, self.action.get((i, t), {}))
                 if acc != {t: F.one}:
                     raise ValidationError(f"unit does not act as identity on {t}")
 
     def act(self, a: tuple, x: tuple) -> tuple:
         F = self.algebra.field
-        out = [F.zero] * self.dim
-        for i, ai in enumerate(a):
-            if F.is_zero(ai):
-                continue
-            for t, xt in enumerate(x):
-                if F.is_zero(xt):
-                    continue
-                c = F.mul(ai, xt)
-                for s, v in self.action.get((i, t), {}).items():
-                    out[s] = F.add(out[s], F.mul(c, v))
-        return tuple(out)
+        return dense_vec(F, self.dim, bilinear(F, self.action, sparse_vec(F, a), sparse_vec(F, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +167,9 @@ def is_submodule(N: FinModule, vectors) -> bool:
     F = N.algebra.field
     rs = RowSpace(F, N.dim, vectors)
     for w in rs.basis():
+        wd = sparse_vec(F, w)
         for i in range(N.algebra.dim):
-            if not rs.contains(N.act(basis_vec(F, N.algebra.dim, i), w)):
+            if not rs.contains(bilinear(F, N.action, {i: F.one}, wd)):
                 return False
     return True
 
@@ -342,8 +285,7 @@ def lattice_agreement_check(M: FinComodule, seed: int = 0, samples: int = 100) -
         candidates.append([])
         for t in range(M.dim):
             _, incl = subcomodule_generated(M, basis_vec(F, M.dim, t))
-            candidates.append([incl.apply(basis_vec(F, incl.cols, a))
-                               for a in range(incl.cols)])
+            candidates.append(incl.columns())
     agree = 0
     closed = 0
     for vecs in candidates:

@@ -105,16 +105,6 @@ class Field:
             return Fraction(n)
         return n % self.characteristic
 
-    def parse(self, s: str):
-        """Parse "n" or "n/d" exactly; residues are canonicalized mod p."""
-        s = s.strip()
-        if self.characteristic == 0:
-            return Fraction(s)
-        if "/" in s:
-            num, den = s.split("/", 1)
-            return self.div(self.from_int(int(num)), self.from_int(int(den)))
-        return int(s) % self.characteristic
-
     def fmt(self, a) -> str:
         if self.characteristic == 0 and a.denominator != 1:
             return f"{a.numerator}/{a.denominator}"

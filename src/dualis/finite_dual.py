@@ -29,9 +29,8 @@ from .coalgebra import (
     CoalgebraMorphism,
     FinCoalgebra,
     counitalize,
+    dual_algebra,
     dual_coalgebra,
-    transpose_comult,
-    transpose_mult,
     unitalize,
 )
 from .errors import (
@@ -43,7 +42,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import Field
-from .linalg import RowSpace, SparseMatrix, basis_vec
+from .linalg import RowSpace, SparseMatrix, axpy, bilinear, prune, sparse_vec
 
 
 class CancelToken:
@@ -88,23 +87,17 @@ class GradedAlgebra:
             d, i = key
             return 0 <= d < len(dims) and 0 <= i < dims[d]
 
-        clean = {}
         for (k1, k2), terms in self.mult.items():
             if not (ok(k1) and ok(k2)):
                 raise DimensionMismatch(f"mult key ({k1},{k2}) out of range")
-            keep = {}
-            for k3, v in terms.items():
+            for k3 in terms:
                 if not ok(k3):
                     raise DimensionMismatch(f"mult target {k3} out of range")
                 if k3[0] != k1[0] + k2[0]:
                     raise ValidationError(
                         f"product of degrees {k1[0]},{k2[0]} lands in degree {k3[0]}")
-                if not F.is_zero(v):
-                    keep[k3] = v
-            if keep:
-                clean[(k1, k2)] = keep
-        object.__setattr__(self, "mult", clean)
-        check_associative(F, clean, 0)
+        object.__setattr__(self, "mult", prune(F, self.mult))
+        check_associative(F, self.mult, 0)
         if self.unit is not None:
             u = {k: v for k, v in self.unit.items() if not F.is_zero(v)}
             for k in u:
@@ -136,21 +129,8 @@ class GradedAlgebra:
         return f"b[{key[0]},{key[1]}]"
 
     def mul_flat(self, x: dict, y: dict) -> dict:
-        F = self.field
-        acc: dict = {}
-        for k1, a in x.items():
-            for k2, b in y.items():
-                terms = self.mult.get((k1, k2))
-                if not terms:
-                    continue
-                c = F.mul(a, b)
-                for k3, v in terms.items():
-                    s = F.add(acc.get(k3, F.zero), F.mul(c, v))
-                    if F.is_zero(s):
-                        acc.pop(k3, None)
-                    else:
-                        acc[k3] = s
-        return acc
+        """Product of sparse {key: scalar} elements."""
+        return bilinear(self.field, self.mult, x, y)
 
     def as_fin_algebra(self) -> tuple[FinAlgebra, dict]:
         """Flatten to a FinAlgebra; returns it plus the key -> index map."""
@@ -498,24 +478,14 @@ class FinBialgebra:
             for j in range(n):
                 lhs: dict = {}
                 for k, c in A.mult.get((i, j), {}).items():
-                    for pq, v in C.comult.get(k, {}).items():
-                        x = F.add(lhs.get(pq, F.zero), F.mul(c, v))
-                        if F.is_zero(x):
-                            lhs.pop(pq, None)
-                        else:
-                            lhs[pq] = x
+                    axpy(F, lhs, c, C.comult.get(k, {}))
                 rhs: dict = {}
                 for (p, q), v in C.comult.get(i, {}).items():
                     for (r, s), w in C.comult.get(j, {}).items():
                         vw = F.mul(v, w)
+                        qs = A.mult.get((q, s), {})
                         for u, cu in A.mult.get((p, r), {}).items():
-                            for t, ct in A.mult.get((q, s), {}).items():
-                                x = F.add(rhs.get((u, t), F.zero),
-                                          F.mul(vw, F.mul(cu, ct)))
-                                if F.is_zero(x):
-                                    rhs.pop((u, t), None)
-                                else:
-                                    rhs[(u, t)] = x
+                            axpy(F, rhs, F.mul(vw, cu), {(u, t): ct for t, ct in qs.items()})
                 if lhs != rhs:
                     raise IncompatibleStructure(
                         f"coproduct not multiplicative at ({i},{j})")
@@ -540,18 +510,15 @@ class FinBialgebra:
             S = self.antipode
             if S.rows != n or S.cols != n:
                 raise DimensionMismatch("antipode matrix has wrong shape")
+            cols = S.columns()
             for k in range(n):
-                left = [F.zero] * n
-                right = [F.zero] * n
+                left: dict = {}
+                right: dict = {}
                 for (i, j), v in C.comult.get(k, {}).items():
-                    si = S.apply(basis_vec(F, n, i))
-                    for s, w in enumerate(A.multiply(si, basis_vec(F, n, j))):
-                        left[s] = F.add(left[s], F.mul(v, w))
-                    sj = S.apply(basis_vec(F, n, j))
-                    for s, w in enumerate(A.multiply(basis_vec(F, n, i), sj)):
-                        right[s] = F.add(right[s], F.mul(v, w))
-                target = tuple(F.mul(C.counit[k], u) for u in A.unit)
-                if tuple(left) != target or tuple(right) != target:
+                    axpy(F, left, v, bilinear(F, A.mult, cols[i], {j: F.one}))
+                    axpy(F, right, v, bilinear(F, A.mult, {i: F.one}, cols[j]))
+                target = axpy(F, {}, C.counit[k], sparse_vec(F, A.unit))
+                if left != target or right != target:
                     raise IncompatibleStructure(f"antipode axiom fails at {k}")
 
     @property
@@ -565,12 +532,8 @@ class FinBialgebra:
 
 def bialgebra_dual(H: FinBialgebra) -> FinBialgebra:
     """Transpose everything; exact in finite dimension."""
-    A = FinAlgebra(H.field, H.dim, transpose_comult(H.coalgebra.comult),
-                   tuple(H.coalgebra.counit))
-    C = FinCoalgebra(H.field, H.dim, transpose_mult(H.algebra.mult),
-                     tuple(H.algebra.unit))
     S = H.antipode.transpose() if H.antipode is not None else None
-    return FinBialgebra(A, C, S)
+    return FinBialgebra(dual_algebra(H.coalgebra), dual_coalgebra(H.algebra), S)
 
 
 def group_bialgebra(F: Field, table, inverses) -> FinBialgebra:

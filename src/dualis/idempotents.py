@@ -17,7 +17,17 @@ import sympy
 from .algebra import FinAlgebra, SubspaceIdeal, quotient_algebra, radical
 from .errors import DecompositionFailed, ValidationError
 from .fields import Field
-from .linalg import RowSpace, SparseMatrix, basis_vec, vec_add, vec_scale, vec_sub
+from .linalg import (
+    RowSpace,
+    SparseMatrix,
+    basis_vec,
+    bilinear,
+    dense_vec,
+    sparse_vec,
+    vec_add,
+    vec_scale,
+    vec_sub,
+)
 
 
 def _to_sympy_poly(F: Field, coeffs, t):
@@ -105,12 +115,16 @@ def _try_split(A: FinAlgebra, e: tuple, x: tuple):
     return e1, e2
 
 
-def _corner_basis(A: FinAlgebra, e: tuple) -> list:
+def _corner_products(A: FinAlgebra, e: tuple) -> list:
+    """e * b_i * e for every basis element b_i, as sparse dicts."""
     F = A.field
-    rs = RowSpace(F, A.dim)
-    for i in range(A.dim):
-        rs.add(A.multiply(A.multiply(e, basis_vec(F, A.dim, i)), e))
-    return rs.basis()
+    ed = sparse_vec(F, e)
+    return [bilinear(F, A.mult, bilinear(F, A.mult, ed, {i: F.one}), ed)
+            for i in range(A.dim)]
+
+
+def _corner_basis(A: FinAlgebra, e: tuple) -> list:
+    return RowSpace(A.field, A.dim, _corner_products(A, e)).basis()
 
 
 def _certify_primitive(A: FinAlgebra, e: tuple) -> str | None:
@@ -150,8 +164,7 @@ def split_semisimple_unit(A: FinAlgebra) -> tuple[list, list]:
             done.append(e)
             certs.append("corner-dim-1")
             continue
-        candidates = [A.multiply(A.multiply(e, basis_vec(F, A.dim, i)), e)
-                      for i in range(A.dim)]
+        candidates = [dense_vec(F, A.dim, x) for x in _corner_products(A, e)]
         candidates += [vec_add(F, u, v)
                        for i, u in enumerate(candidates[:6])
                        for v in candidates[i + 1:6]]

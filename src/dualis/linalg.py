@@ -1,6 +1,8 @@
 """Sparse exact linear algebra over Q and F_p.
 
-Matrices store only nonzero entries.  Elimination pivots on the first
+Sparse vectors, tensors and structure tables are {key: nonzero scalar}
+dicts, and every module updates them through one kernel: axpy, bilinear
+and prune.  Matrices store only nonzero entries.  Elimination pivots on the first
 nonzero entry in a row-major scan, so every result is deterministic; there
 are no magnitude-based choices to make in exact arithmetic.  A dense
 elimination path is used internally when fill-in passes 50%, with output
@@ -16,10 +18,8 @@ from .fields import Field
 
 
 # ---------------------------------------------------------------------------
-# vector helpers (vectors are tuples of scalars)
-
-def vec_zero(F: Field, n: int) -> tuple:
-    return (F.zero,) * n
+# vector helpers (vectors are tuples of scalars; sparse_vec and dense_vec
+# convert to and from sparse dicts)
 
 def vec_add(F: Field, x: tuple, y: tuple) -> tuple:
     return tuple(F.add(a, b) for a, b in zip(x, y))
@@ -30,11 +30,53 @@ def vec_sub(F: Field, x: tuple, y: tuple) -> tuple:
 def vec_scale(F: Field, c, x: tuple) -> tuple:
     return tuple(F.mul(c, a) for a in x)
 
-def vec_is_zero(F: Field, x: tuple) -> bool:
-    return all(F.is_zero(a) for a in x)
-
 def basis_vec(F: Field, n: int, i: int) -> tuple:
     return tuple(F.one if j == i else F.zero for j in range(n))
+
+def sparse_vec(F: Field, x: tuple) -> dict:
+    return {i: v for i, v in enumerate(x) if not F.is_zero(v)}
+
+def dense_vec(F: Field, n: int, x: dict) -> tuple:
+    zero = F.zero
+    return tuple(x.get(i, zero) for i in range(n))
+
+
+# ---------------------------------------------------------------------------
+# sparse kernel: {key: nonzero scalar} dicts, keys any hashable (indices,
+# pairs, triples), so vectors, tensors and matrix rows share one code path
+
+def axpy(F: Field, acc: dict, c, x: dict) -> dict:
+    """acc += c * x in place, dropping entries that become zero; returns acc."""
+    zero = F.zero
+    for k, v in x.items():
+        s = F.add(acc.get(k, zero), F.mul(c, v))
+        if F.is_zero(s):
+            acc.pop(k, None)
+        else:
+            acc[k] = s
+    return acc
+
+
+def bilinear(F: Field, table: dict, x: dict, y: dict) -> dict:
+    """Sum of x[i] * y[j] * table[(i, j)] over the pairs the table holds."""
+    acc: dict = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
+            terms = table.get((i, j))
+            if terms:
+                axpy(F, acc, F.mul(xi, yj), terms)
+    return acc
+
+
+def prune(F: Field, table: dict) -> dict:
+    """Copy of a nested {key: {key: scalar}} table without zero scalars or
+    empty rows."""
+    out = {}
+    for key, terms in table.items():
+        keep = {k: v for k, v in terms.items() if not F.is_zero(v)}
+        if keep:
+            out[key] = keep
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -66,15 +108,7 @@ def _rref_rows(F: Field, rows: list[dict], ncols: int):
         lead = rows[r]
         for i in range(len(rows)):
             if i != r and c in rows[i]:
-                f = rows[i][c]
-                out = dict(rows[i])
-                for j, v in lead.items():
-                    s = F.sub(out.get(j, F.zero), F.mul(f, v))
-                    if F.is_zero(s):
-                        out.pop(j, None)
-                    else:
-                        out[j] = s
-                rows[i] = out
+                axpy(F, rows[i], F.neg(rows[i][c]), lead)
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -155,21 +189,6 @@ class SparseMatrix:
 
     # -- structure ----------------------------------------------------------
 
-    def row(self, i: int) -> tuple:
-        F = self.field
-        out = [F.zero] * self.cols
-        for (r, c), v in self.entries.items():
-            if r == i:
-                out[c] = v
-        return tuple(out)
-
-    def to_dense(self) -> list[list]:
-        F = self.field
-        m = [[F.zero] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            m[i][j] = v
-        return m
-
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(self.field, self.cols, self.rows,
                             {(j, i): v for (i, j), v in self.entries.items()})
@@ -180,19 +199,20 @@ class SparseMatrix:
             rows[i][j] = v
         return rows
 
+    def columns(self) -> list[dict]:
+        """Column j as a sparse {row: scalar} dict, for each j."""
+        cols = [dict() for _ in range(self.cols)]
+        for (i, j), v in self.entries.items():
+            cols[j][i] = v
+        return cols
+
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix addition shape mismatch")
         F = self.field
-        ent = dict(self.entries)
-        for k, v in other.entries.items():
-            s = F.add(ent.get(k, F.zero), v)
-            if F.is_zero(s):
-                ent.pop(k, None)
-            else:
-                ent[k] = s
+        ent = axpy(F, dict(self.entries), F.one, other.entries)
         return SparseMatrix(F, self.rows, self.cols, ent)
 
     def scale(self, c) -> "SparseMatrix":
@@ -207,19 +227,12 @@ class SparseMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch("matrix product shape mismatch")
         F = self.field
-        by_row: dict[int, list] = {}
-        for (k, j), v in other.entries.items():
-            by_row.setdefault(k, []).append((j, v))
-        acc: dict[tuple, object] = {}
+        by_row = other._row_dicts()
+        acc: dict[int, dict] = {}
         for (i, k), u in self.entries.items():
-            for j, v in by_row.get(k, ()):
-                key = (i, j)
-                s = F.add(acc.get(key, F.zero), F.mul(u, v))
-                if F.is_zero(s):
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
-        return SparseMatrix(F, self.rows, other.cols, acc)
+            axpy(F, acc.setdefault(i, {}), u, by_row[k])
+        return SparseMatrix(F, self.rows, other.cols,
+                            {(i, j): v for i, row in acc.items() for j, v in row.items()})
 
     def apply(self, x: tuple) -> tuple:
         """Matrix times column vector."""
@@ -307,7 +320,10 @@ class SparseMatrix:
 # incremental row spaces (the engine behind all fixpoint closures)
 
 class RowSpace:
-    """A subspace of F^n kept in reduced echelon form, grown one vector at a time."""
+    """A subspace of F^n kept in reduced echelon form, grown one vector at a time.
+
+    Vectors may be given as tuples or as sparse {index: scalar} dicts.
+    """
 
     def __init__(self, F: Field, ambient: int, vectors=()):
         self.field = F
@@ -321,35 +337,28 @@ class RowSpace:
     def dim(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vec: tuple) -> dict:
+    def _reduce(self, vec, coords: list | None = None) -> dict:
+        """Remainder of vec after clearing every pivot; when coords is given,
+        the multiple of each basis row taken out is appended to it."""
         F = self.field
-        w = {j: v for j, v in enumerate(vec) if not F.is_zero(v)}
+        w = dict(vec) if isinstance(vec, dict) else sparse_vec(F, vec)
         for pc, row in zip(self._pivots, self._rows):
             c = w.get(pc)
-            if c is None:
-                continue
-            for j, v in row.items():
-                s = F.sub(w.get(j, F.zero), F.mul(c, v))
-                if F.is_zero(s):
-                    w.pop(j, None)
-                else:
-                    w[j] = s
+            if c is not None:
+                axpy(F, w, F.neg(c), row)
+            if coords is not None:
+                coords.append(F.zero if c is None else c)
         return w
 
-    def contains(self, vec: tuple) -> bool:
+    def contains(self, vec) -> bool:
         return not self._reduce(vec)
 
-    def residual(self, vec: tuple) -> tuple:
-        F = self.field
-        w = self._reduce(vec)
-        out = [F.zero] * self.ambient
-        for j, v in w.items():
-            out[j] = v
-        return tuple(out)
+    def residual(self, vec) -> tuple:
+        return dense_vec(self.field, self.ambient, self._reduce(vec))
 
-    def add(self, vec: tuple) -> bool:
+    def add(self, vec) -> bool:
         """Insert vec; True if the dimension grew."""
-        if len(vec) != self.ambient:
+        if not isinstance(vec, dict) and len(vec) != self.ambient:
             raise DimensionMismatch("vector length != ambient dimension")
         F = self.field
         w = self._reduce(vec)
@@ -358,18 +367,10 @@ class RowSpace:
         pc = min(w)
         inv = F.inv(w[pc])
         w = {j: F.mul(inv, v) for j, v in w.items()}
-        for i in range(len(self._rows)):
-            c = self._rows[i].get(pc)
-            if c is None:
-                continue
-            out = dict(self._rows[i])
-            for j, v in w.items():
-                s = F.sub(out.get(j, F.zero), F.mul(c, v))
-                if F.is_zero(s):
-                    out.pop(j, None)
-                else:
-                    out[j] = s
-            self._rows[i] = out
+        for row in self._rows:
+            c = row.get(pc)
+            if c is not None:
+                axpy(F, row, F.neg(c), w)
         at = 0
         while at < len(self._pivots) and self._pivots[at] < pc:
             at += 1
@@ -378,34 +379,15 @@ class RowSpace:
         return True
 
     def basis(self) -> list[tuple]:
-        F = self.field
-        out = []
-        for row in self._rows:
-            v = [F.zero] * self.ambient
-            for j, c in row.items():
-                v[j] = c
-            out.append(tuple(v))
-        return out
+        return [dense_vec(self.field, self.ambient, row) for row in self._rows]
 
     def pivots(self) -> list[int]:
         return list(self._pivots)
 
-    def coords(self, vec: tuple) -> tuple | None:
+    def coords(self, vec) -> tuple | None:
         """Coordinates of vec in basis(); None if vec is outside."""
-        F = self.field
-        w = {j: v for j, v in enumerate(vec) if not F.is_zero(v)}
-        out = []
-        for pc, row in zip(self._pivots, self._rows):
-            c = w.get(pc, F.zero)
-            out.append(c)
-            if not F.is_zero(c):
-                for j, v in row.items():
-                    s = F.sub(w.get(j, F.zero), F.mul(c, v))
-                    if F.is_zero(s):
-                        w.pop(j, None)
-                    else:
-                        w[j] = s
-        if w:
+        out: list = []
+        if self._reduce(vec, out):
             return None
         return tuple(out)
 

@@ -13,12 +13,12 @@ from random import Random
 
 from .algebra import FinAlgebra, matrix_algebra, unitalize
 from .coalgebra import CoalgebraMorphism, FinCoalgebra, comatrix, dual_coalgebra
-from .combinat import Poset, Quiver, path_coalgebra, paths_by_length
+from .combinat import Poset, Quiver, path_coalgebra, paths_by_length, transitive_closure
 from .comodule import FinComodule
 from .errors import ValidationError
 from .fields import Field
 from .finite_dual import FinBialgebra, bialgebra_dual, group_bialgebra
-from .linalg import SparseMatrix, basis_vec
+from .linalg import SparseMatrix, axpy, bilinear
 
 
 def rand_scalar(F: Field, rng: Random):
@@ -56,30 +56,15 @@ def conjugate_coalgebra(C: FinCoalgebra, P: SparseMatrix
     isomorphism from C onto it (validated by construction)."""
     F = C.field
     Pinv = P.inverse()
+    cols = P.columns()
     comult = {}
-    for k in range(C.dim):
-        v = Pinv.apply(basis_vec(F, C.dim, k))
+    for k, v in enumerate(Pinv.columns()):
         terms: dict = {}
-        for a, va in enumerate(v):
-            if F.is_zero(va):
-                continue
+        for a, va in v.items():
             for (i, j), w in C.comult.get(a, {}).items():
-                li = P.apply(basis_vec(F, C.dim, i))
-                lj = P.apply(basis_vec(F, C.dim, j))
                 coeff = F.mul(va, w)
-                for ii, x in enumerate(li):
-                    if F.is_zero(x):
-                        continue
-                    for jj, y in enumerate(lj):
-                        if F.is_zero(y):
-                            continue
-                        key = (ii, jj)
-                        s = F.add(terms.get(key, F.zero),
-                                  F.mul(coeff, F.mul(x, y)))
-                        if F.is_zero(s):
-                            terms.pop(key, None)
-                        else:
-                            terms[key] = s
+                for ii, x in cols[i].items():
+                    axpy(F, terms, F.mul(coeff, x), {(ii, jj): y for jj, y in cols[j].items()})
         if terms:
             comult[k] = terms
     counit = None
@@ -92,14 +77,14 @@ def conjugate_coalgebra(C: FinCoalgebra, P: SparseMatrix
 
 def conjugate_algebra(A: FinAlgebra, P: SparseMatrix) -> FinAlgebra:
     F = A.field
-    Pinv = P.inverse()
+    inv_cols = P.inverse().columns()
+    cols = P.columns()
     mult = {}
-    for i in range(A.dim):
-        vi = Pinv.apply(basis_vec(F, A.dim, i))
-        for j in range(A.dim):
-            vj = Pinv.apply(basis_vec(F, A.dim, j))
-            prod = P.apply(A.multiply(vi, vj))
-            table = {k: c for k, c in enumerate(prod) if not F.is_zero(c)}
+    for i, vi in enumerate(inv_cols):
+        for j, vj in enumerate(inv_cols):
+            table: dict = {}
+            for k, c in bilinear(F, A.mult, vi, vj).items():
+                axpy(F, table, c, cols[k])
             if table:
                 mult[(i, j)] = table
     unit = tuple(P.apply(tuple(A.unit))) if A.unit is not None else None
@@ -243,27 +228,14 @@ def rand_comodule(rng: Random, C: FinCoalgebra, copies: int = 1) -> FinComodule:
             coaction[t + c * C.dim] = {(s + c * C.dim, k): v
                                        for (s, k), v in table.items()}
     P = rand_invertible(F, rng, dim)
-    Pinv = P.inverse()
+    cols = P.columns()
     base = FinComodule(C, dim, coaction)
     new = {}
-    for t in range(dim):
-        v = Pinv.apply(basis_vec(F, dim, t))
+    for t, v in enumerate(P.inverse().columns()):
         terms: dict = {}
-        for a, va in enumerate(v):
-            if F.is_zero(va):
-                continue
+        for a, va in v.items():
             for (s, k), w in base.coaction.get(a, {}).items():
-                img = P.apply(basis_vec(F, dim, s))
-                for ss, x in enumerate(img):
-                    if F.is_zero(x):
-                        continue
-                    key = (ss, k)
-                    acc = F.add(terms.get(key, F.zero),
-                                F.mul(va, F.mul(w, x)))
-                    if F.is_zero(acc):
-                        terms.pop(key, None)
-                    else:
-                        terms[key] = acc
+                axpy(F, terms, F.mul(va, w), {(ss, k): x for ss, x in cols[s].items()})
         if terms:
             new[t] = terms
     return FinComodule(C, dim, new)
@@ -331,15 +303,7 @@ def rand_poset(rng: Random, n: int) -> Poset:
         for j in range(i + 1, n):
             if rng.random() < 0.4:
                 strict.add((i, j))
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(strict):
-            for (c, d) in list(strict):
-                if b == c and (a, d) not in strict:
-                    strict.add((a, d))
-                    changed = True
-    rel = frozenset(strict) | frozenset((i, i) for i in range(n))
+    rel = frozenset(transitive_closure(strict)) | frozenset((i, i) for i in range(n))
     return Poset(tuple(range(n)), rel)
 
 

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .fields import Field
 from .idempotents import complete_primitive_idempotents, verify_family
-from .linalg import RowSpace, SparseMatrix, basis_vec, vec_add
+from .linalg import RowSpace, SparseMatrix, axpy, bilinear, sparse_vec, vec_add
 
 
 @dataclass(frozen=True)
@@ -60,27 +60,14 @@ def _hit_matrix(C: FinCoalgebra, e: tuple, side: str) -> SparseMatrix:
     for k, table in C.comult.items():
         for (i, j), v in table.items():
             if side == "right":
-                w = F.mul(v, e[j])
-                pos = (i, k)
+                axpy(F, ent, e[j], {(i, k): v})
             else:
-                w = F.mul(v, e[i])
-                pos = (j, k)
-            if not F.is_zero(w):
-                cur = ent.get(pos, F.zero)
-                s = F.add(cur, w)
-                if F.is_zero(s):
-                    ent.pop(pos, None)
-                else:
-                    ent[pos] = s
+                axpy(F, ent, e[i], {(j, k): v})
     return SparseMatrix(F, C.dim, C.dim, ent)
 
 
 def _column_space(M: SparseMatrix) -> list:
-    F = M.field
-    rs = RowSpace(F, M.rows)
-    for j in range(M.cols):
-        rs.add(M.apply(basis_vec(F, M.cols, j)))
-    return rs.basis()
+    return RowSpace(M.field, M.rows, M.columns()).basis()
 
 
 def _check_coideal(C: FinCoalgebra, basis: list, side: str) -> None:
@@ -130,14 +117,7 @@ def decompose_injectives(C: FinCoalgebra, side: str = "right",
             raise ValidationError("hit operator is not idempotent")
     summed = projections[0]
     for M in projections[1:]:
-        ent = dict(summed.entries)
-        for pos, v in M.entries.items():
-            s = F.add(ent.get(pos, F.zero), v)
-            if F.is_zero(s):
-                ent.pop(pos, None)
-            else:
-                ent[pos] = s
-        summed = SparseMatrix(F, C.dim, C.dim, ent)
+        summed = summed + M
     if summed != SparseMatrix.identity(F, C.dim):
         raise ValidationError("hit operators do not sum to the identity")
     zero = SparseMatrix(F, C.dim, C.dim, {})
@@ -201,8 +181,9 @@ def rat_dual(C: FinCoalgebra,
     whole = RowSpace(F, B.dim)
     for j, e in enumerate(dec.idempotents):
         rs = RowSpace(F, B.dim)
+        ed = sparse_vec(F, e)
         for i in range(B.dim):
-            rs.add(B.multiply(basis_vec(F, B.dim, i), e))
+            rs.add(bilinear(F, B.mult, {i: F.one}, ed))
         if rs.dim != len(dec.blocks[j]):
             raise ValidationError(
                 f"ideal B*e_{j} has dim {rs.dim}, block has {len(dec.blocks[j])}")

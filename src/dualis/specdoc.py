@@ -34,6 +34,7 @@ from .combinat import (
     verify_pathdual_iso,
     FiniteTemplate,
     semiperfect_check,
+    transitive_closure,
 )
 from .comodule import FinComodule, lattice_agreement_check
 from .errors import (
@@ -163,15 +164,7 @@ def _build_template(block, doc_objects):
 
 def _build_poset(block, doc_objects):
     elements = tuple(block["elements"])
-    strict = {(a, b) for a, b in block.get("relation", []) if a != b}
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(strict):
-            for (c, d) in list(strict):
-                if b == c and (a, d) not in strict:
-                    strict.add((a, d))
-                    changed = True
+    strict = transitive_closure((a, b) for a, b in block.get("relation", []) if a != b)
     rel = frozenset(strict) | frozenset((e, e) for e in elements)
     return Poset(elements, rel)
 

@@ -1,4 +1,4 @@
-"""Built-in verification suites and the concurrent check runner.
+"""Built-in verification suites and the serial check runner.
 
 The paper-theorems suite is the fixed acceptance battery: twelve named
 criteria, each deterministic given the seed.  The randomized suite draws
@@ -10,7 +10,6 @@ escapes is reported as an error verdict.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from random import Random
 from time import perf_counter
@@ -41,7 +40,7 @@ from .combinat import (
 from .comodule import lattice_agreement_check, subcomodule_generated
 from .errors import DualisError
 from .fields import GF, QQ, Field
-from .linalg import basis_vec
+from .linalg import basis_vec, dense_vec
 from .finite_dual import (
     LinRec,
     NotWithinBound,
@@ -541,7 +540,7 @@ def _randomized_items(knobs: RandomKnobs):
             D, incl = subcoalgebra_generated(C, x)
             if D.dim == 0:
                 continue
-            y = incl.matrix.apply(basis_vec(F, D.dim, 0))
+            y = dense_vec(F, C.dim, incl.matrix.columns()[0])
             E, _ = subcoalgebra_generated(C, y)
             if E.dim > D.dim:
                 return False, {"message": "closure grew on re-generation"}
@@ -579,11 +578,11 @@ def _randomized_items(knobs: RandomKnobs):
 # ---------------------------------------------------------------------------
 # runner
 
-def _run_items(items, seed: int, workers: int | None = None) -> Report:
-    """Run (name, fn(rng) -> (ok, details)[, replay_base]) items concurrently;
-    assembly is order-stable by index and each item gets its own seeded
-    generator.  replay_base is merged into the replay block on fail/error."""
-    results: list = [None] * len(items)
+def _run_items(items, seed: int) -> Report:
+    """Run (name, fn(rng) -> (ok, details)[, replay_base]) items one after
+    another, in order; each item gets its own seeded generator, so a result
+    does not depend on the items before it.  replay_base is merged into the
+    replay block on fail/error."""
 
     def work(ix: int, name: str, fn, base: dict):
         rng = Random(f"{seed}:{ix}:{name}")
@@ -608,33 +607,25 @@ def _run_items(items, seed: int, workers: int | None = None) -> Report:
         ms = (perf_counter() - t0) * 1000.0
         return CheckResult(ix, name, verdict, details, replay, ms)
 
-    if not items:
-        return Report(seed, __version__, [])
-    with ThreadPoolExecutor(max_workers=workers or min(8, len(items))) as ex:
-        futures = [ex.submit(work, ix, item[0], item[1],
-                             item[2] if len(item) > 2 else {})
-                   for ix, item in enumerate(items)]
-        for fut in futures:
-            res = fut.result()
-            results[res.index] = res
+    results = [work(ix, item[0], item[1], item[2] if len(item) > 2 else {})
+               for ix, item in enumerate(items)]
     return Report(seed, __version__, results)
 
 
-def builtin_suite(name: str, seed: int = 0, knobs=None,
-                  workers: int | None = None) -> Report:
+def builtin_suite(name: str, seed: int = 0, knobs=None) -> Report:
     """Run a named suite; paper-theorems is the fixed acceptance battery."""
     if name == "paper-theorems":
         sk = knobs if isinstance(knobs, SuiteKnobs) else SuiteKnobs()
         items = [(cname, (lambda fn: lambda rng: (True, fn(sk, rng)))(fn))
                  for cname, fn in CRITERIA]
-        return _run_items(items, seed, workers)
+        return _run_items(items, seed)
     if name == "randomized":
         rk = knobs if isinstance(knobs, RandomKnobs) else RandomKnobs()
-        return _run_items(_randomized_items(rk), seed, workers)
+        return _run_items(_randomized_items(rk), seed)
     raise DualisError(f"unknown suite {name!r}")
 
 
-def run_document(doc, seed: int = 0, workers: int | None = None) -> Report:
+def run_document(doc, seed: int = 0) -> Report:
     """Execute every check of a parsed spec document."""
     from .specdoc import run_check
 
@@ -642,12 +633,12 @@ def run_document(doc, seed: int = 0, workers: int | None = None) -> Report:
               (lambda c: lambda rng: run_check(doc, c, rng))(check),
               {"refs": list(check.refs), "params": dict(check.params)})
              for check in doc.checks]
-    return _run_items(items, seed, workers)
+    return _run_items(items, seed)
 
 
-def run_spec_file(path: str, seed: int = 0, workers: int | None = None) -> Report:
+def run_spec_file(path: str, seed: int = 0) -> Report:
     from .specdoc import parse_spec
 
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return run_document(parse_spec(text), seed, workers)
+    return run_document(parse_spec(text), seed)

@@ -81,6 +81,9 @@ def test_input_errors_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "cannot read" in err
     assert "line" in err
+    unwritable = str(tmp_path / "missing-dir" / "r.json")
+    assert main(["suite", "randomized", "--trials", "1", "--out", unwritable]) == 2
+    assert "cannot write" in capsys.readouterr().err
 
 
 def test_suite_verb(capsys):

@@ -19,6 +19,7 @@ from dualis.combinat import (
     path_coalgebra,
     paths_by_length,
     semiperfect_check,
+    transitive_closure,
     verify_incidencedual_iso,
     verify_pathdual_iso,
 )
@@ -128,6 +129,9 @@ def test_poset_validation():
         Poset((0, 1), frozenset({(0, 0), (1, 1), (0, 1), (1, 0)}))
     with pytest.raises(ValidationError):
         Poset((0, 1, 2), frozenset({(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)}))
+    closed = transitive_closure({(0, 1), (1, 2)})
+    assert closed == {(0, 1), (1, 2), (0, 2)}
+    Poset((0, 1, 2), frozenset(closed | {(0, 0), (1, 1), (2, 2)}))
 
 
 def test_poset_counts_up_to_iso():

@@ -12,7 +12,11 @@ from dualis.linalg import (
     SparseMatrix,
     _rref_dense,
     _rref_rows,
+    axpy,
+    bilinear,
     intersect_spans,
+    prune,
+    sparse_vec,
     span_basis,
 )
 
@@ -22,12 +26,9 @@ def F(n, d=1):
 
 
 def test_field_parse_and_fmt_roundtrip():
-    assert QQ.parse("-3/4") == F(-3, 4)
     assert QQ.fmt(F(-3, 4)) == "-3/4"
     assert QQ.fmt(F(5)) == "5"
     f7 = GF(7)
-    assert f7.parse("-1") == 6
-    assert f7.parse("3/5") == f7.div(3, 5)
     assert f7.fmt(6) == "6"
     assert field_from_name("fp:101").characteristic == 101
     assert field_from_name("q") == QQ
@@ -144,6 +145,7 @@ def test_rowspace_incremental_matches_batch():
             vecs = [tuple(field.from_int(rng.randrange(-2, 3)) for _ in range(n))
                     for _ in range(rng.randrange(0, 6))]
             rs = RowSpace(field, n, vecs)
+            assert RowSpace(field, n, [sparse_vec(field, v) for v in vecs]).basis() == rs.basis()
             M = SparseMatrix.from_rows(field, [list(v) for v in vecs], n) if vecs else None
             if M is not None:
                 assert rs.dim == M.rank()
@@ -152,6 +154,7 @@ def test_rowspace_incremental_matches_batch():
                 assert rs.contains(v)
                 coords = rs.coords(v)
                 assert coords is not None
+                assert rs.coords(sparse_vec(field, v)) == coords
                 acc = [field.zero] * n
                 for c, bv in zip(coords, rs.basis()):
                     for i, x in enumerate(bv):
@@ -165,3 +168,65 @@ def test_intersect_spans():
     got = intersect_spans(QQ, u, w, 3)
     assert got == [(F(0), F(1), F(0))]
     assert intersect_spans(QQ, u, [], 3) == []
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernel against plain loops over every key
+
+def _axpy_reference(field, acc, c, x):
+    keys = set(acc) | set(x)
+    out = {k: field.add(acc.get(k, field.zero), field.mul(c, x.get(k, field.zero)))
+           for k in keys}
+    return {k: v for k, v in out.items() if not field.is_zero(v)}
+
+
+def _bilinear_reference(field, table, x, y):
+    out = {}
+    for (i, j), terms in table.items():
+        xy = field.mul(x.get(i, field.zero), y.get(j, field.zero))
+        for k, v in terms.items():
+            out[k] = field.add(out.get(k, field.zero), field.mul(xy, v))
+    return {k: v for k, v in out.items() if not field.is_zero(v)}
+
+
+def _rand_scalar(field, rng):
+    if field.characteristic == 0:
+        return F(rng.randint(-4, 4), rng.randint(1, 3))
+    return field.from_int(rng.randrange(field.characteristic))
+
+
+def _rand_sparse(field, rng, keys):
+    d = {k: _rand_scalar(field, rng) for k in rng.sample(keys, rng.randrange(len(keys) + 1))}
+    return {k: v for k, v in d.items() if not field.is_zero(v)}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=["q", "fp2", "fp101"])
+def test_sparse_kernel_matches_plain_loops(field):
+    rng = random.Random(f"kernel:{field.name()}")
+    key_sets = [list(range(6)),
+                [(i, j) for i in range(3) for j in range(3)],
+                [(i, j, k) for i in range(2) for j in range(2) for k in range(3)]]
+    cancelled = 0
+    for trial in range(300):
+        keys = key_sets[trial % 3]
+        x = _rand_sparse(field, rng, keys)
+        c = _rand_scalar(field, rng)
+        acc = _rand_sparse(field, rng, keys)
+        for k in rng.sample(sorted(x, key=str), len(x) // 2):
+            acc[k] = field.neg(field.mul(c, x[k]))  # these entries cancel to zero
+        acc = {k: v for k, v in acc.items() if not field.is_zero(v)}
+        want = _axpy_reference(field, acc, c, x)
+        got = axpy(field, acc, c, x)
+        assert got is acc and got == want
+        cancelled += len(set(x) - set(want))
+        table = {(i, j): _rand_sparse(field, rng, keys) for i in range(4) for j in range(4)
+                 if rng.random() < 0.5}
+        x, y = _rand_sparse(field, rng, list(range(4))), _rand_sparse(field, rng, list(range(4)))
+        assert bilinear(field, prune(field, table), x, y) == _bilinear_reference(field, table, x, y)
+    assert cancelled > 0
+
+
+def test_prune_drops_zero_scalars_and_empty_rows():
+    table = {(0, 0): {0: F(1), 1: F(0)}, (0, 1): {1: F(0)}, (1, 1): {}}
+    assert prune(QQ, table) == {(0, 0): {0: F(1)}}
+    assert table[(0, 0)] == {0: F(1), 1: F(0)}  # the input is left alone

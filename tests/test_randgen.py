@@ -77,6 +77,9 @@ def test_rand_posets_validate():
     for _ in range(10):
         P = rand_poset(rng, 6)
         assert len(P.elements) == 6
+    # (0, 3) comes from the transitive closure of the drawn pairs
+    assert rand_poset(Random(13), 4).relation == frozenset(
+        {(0, 1), (0, 3), (1, 3), (2, 3)} | {(i, i) for i in range(4)})
 
 
 def test_rand_comodule_dims():

@@ -122,7 +122,7 @@ def test_runner_results_are_order_stable_regardless_of_finish_order():
     def fast(rng):
         return True, {"slot": "fast"}
 
-    rep = _run_items([("slow", slow), ("fast", fast)], seed=0, workers=2)
+    rep = _run_items([("slow", slow), ("fast", fast)], seed=0)
     assert [c.name for c in rep.checks] == ["slow", "fast"]
     assert [c.index for c in rep.checks] == [0, 1]
 
