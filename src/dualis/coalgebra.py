@@ -1,8 +1,12 @@
 """Finite-dimensional coalgebras given by comultiplication constants.
 
 comult[k][(i,j)] is the coefficient of c_i (x) c_j in delta(c_k).  A counit
-is optional; adjoining one is the job of counitalize.  Coassociativity is
-exactly associativity of the transposed table, and the code leans on that.
+is optional; adjoining one is the job of counitalize.
+
+Every axiom is checked through the dual: coassociativity and the counit
+axiom are associativity and the unit axiom of the transposed table, and f
+is a coalgebra morphism exactly when its transpose is an algebra morphism,
+so each axiom is stated once, in algebra.py.
 """
 
 from __future__ import annotations
@@ -12,14 +16,14 @@ from dataclasses import dataclass, fields
 from .algebra import (
     AlgebraMorphism,
     FinAlgebra,
-    check_associative,
     radical,
     regular_matrix_embedding,
     unitalize,
 )
 from .errors import DimensionMismatch, ValidationError
 from .fields import Field
-from .linalg import RowSpace, SparseMatrix, axpy, basis_vec, dense_vec, prune, sparse_vec
+from .linalg import (RowSpace, SparseMatrix, axpy, basis_vec, dense_vec, prune, sparse_vec,
+                     tensor_legs)
 
 
 def transpose_comult(comult: dict) -> dict:
@@ -57,20 +61,12 @@ class FinCoalgebra:
                 if not (0 <= i < self.dim and 0 <= j < self.dim):
                     raise DimensionMismatch(f"comult target ({i},{j}) out of range")
         object.__setattr__(self, "comult", prune(F, self.comult))
-        check_associative(F, transpose_comult(self.comult), self.dim)
         if self.counit is not None:
             eps = tuple(self.counit)
             if len(eps) != self.dim:
                 raise DimensionMismatch("counit has wrong length")
             object.__setattr__(self, "counit", eps)
-            for k in range(self.dim):
-                left: dict = {}
-                right: dict = {}
-                for (i, j), v in self.comult.get(k, {}).items():
-                    axpy(F, left, eps[i], {j: v})
-                    axpy(F, right, eps[j], {i: v})
-                if left != {k: F.one} or right != {k: F.one}:
-                    raise ValidationError(f"counit axiom fails on basis element {k}")
+        FinAlgebra(F, self.dim, transpose_comult(self.comult), self.counit)
 
     # -- coproducts -----------------------------------------------------------
 
@@ -107,30 +103,10 @@ class CoalgebraMorphism:
     def __post_init__(self):
         if self.matrix.rows != self.target.dim or self.matrix.cols != self.source.dim:
             raise DimensionMismatch("morphism matrix shape mismatch")
-        F = self.source.field
-        if F != self.target.field:
+        if self.source.field != self.target.field:
             raise ValidationError("morphism between different base fields")
-        imgs = self.matrix.columns()
-        for k in range(self.source.dim):
-            lhs: dict = {}
-            for s, c in imgs[k].items():
-                axpy(F, lhs, c, self.target.comult.get(s, {}))
-            rhs: dict = {}
-            for (i, j), v in self.source.comult.get(k, {}).items():
-                for a, va in imgs[i].items():
-                    axpy(F, rhs, F.mul(v, va), {(a, b): vb for b, vb in imgs[j].items()})
-            if lhs != rhs:
-                raise ValidationError(f"coalgebra morphism fails on basis element {k}")
-        if self.counital:
-            if self.source.counit is None or self.target.counit is None:
-                raise ValidationError("counital morphism requires counits on both sides")
-            eps = self.target.counit
-            for k, img in enumerate(imgs):
-                s = F.zero
-                for t, v in img.items():
-                    s = F.add(s, F.mul(eps[t], v))
-                if s != self.source.counit[k]:
-                    raise ValidationError("morphism does not preserve the counit")
+        AlgebraMorphism(dual_algebra(self.target), dual_algebra(self.source),
+                        self.matrix.transpose(), unital=self.counital)
 
     def __call__(self, x: tuple) -> tuple:
         return self.matrix.apply(x)
@@ -296,16 +272,6 @@ def comatrix_cover(C: FinCoalgebra) -> CoalgebraMorphism:
 # ---------------------------------------------------------------------------
 # subcoalgebras
 
-def _tensor_rows_cols(F: Field, dim: int, tensor: dict):
-    """Rows and columns of a sparse {(i,j): v} tensor as vectors in F^dim."""
-    rows: dict[int, list] = {}
-    cols: dict[int, list] = {}
-    for (i, j), v in tensor.items():
-        rows.setdefault(i, [F.zero] * dim)[j] = v
-        cols.setdefault(j, [F.zero] * dim)[i] = v
-    return [tuple(r) for r in rows.values()], [tuple(c) for c in cols.values()]
-
-
 def subcoalgebra_on_span(C: FinCoalgebra, vectors) -> tuple[FinCoalgebra, CoalgebraMorphism]:
     """Induced coalgebra on a span, or ValidationError if it is not closed."""
     F = C.field
@@ -315,16 +281,13 @@ def subcoalgebra_on_span(C: FinCoalgebra, vectors) -> tuple[FinCoalgebra, Coalge
     comult = {}
     for a, vec in enumerate(basis):
         tensor = C.comult_of(vec)
-        rows, cols = _tensor_rows_cols(F, C.dim, tensor)
-        for w in rows + cols:
+        rows = tensor_legs(tensor)
+        for w in [*rows.values(), *tensor_legs(tensor, 1).values()]:
             if not rs.contains(w):
                 raise ValidationError("span is not a subcoalgebra")
         # rewrite the tensor in the sub-basis, first by rows then by columns
         terms = {}
-        mids: dict[int, dict] = {}
-        for (i, j), v in tensor.items():
-            mids.setdefault(i, {})[j] = v
-        for i, row in mids.items():
+        for i, row in rows.items():
             for b, cb in enumerate(rs.coords(row)):
                 if not F.is_zero(cb):
                     terms.setdefault(b, {})[i] = cb
@@ -356,12 +319,10 @@ def subcoalgebra_generated(C: FinCoalgebra, x: tuple) -> tuple[FinCoalgebra, Coa
     rs = RowSpace(F, C.dim)
     queue = []
     if rs.add(x):
-        queue.append(tuple(x))
+        queue.append(x)
     while queue:
-        v = queue.pop()
-        tensor = C.comult_of(v)
-        rows, cols = _tensor_rows_cols(F, C.dim, tensor)
-        for w in rows + cols:
+        tensor = C.comult_of(queue.pop())
+        for w in [*tensor_legs(tensor).values(), *tensor_legs(tensor, 1).values()]:
             if rs.add(w):
                 queue.append(w)
     return subcoalgebra_on_span(C, rs.basis())

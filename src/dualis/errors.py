@@ -49,6 +49,12 @@ class DecompositionFailed(DualisError):
     """Injective decomposition could not be certified; signals a bug."""
 
 
+class UnsupportedCorner(DecompositionFailed):
+    """A corner neither split nor certified primitive: only corners of dim 1
+    or commutative fields certify, so a noncommutative division corner (the
+    quaternions over Q) lands here.  A known limit, not a bug."""
+
+
 class SpecParseError(DualisError, ValueError):
     """A specification document is malformed.
 

@@ -5,7 +5,7 @@ there by factoring minimal polynomials of corner elements (the only place
 factorization is needed), lift back through the radical by Newton iteration,
 and orthogonalize sequentially inside corners.  Every claimed property is
 re-checked with exact arithmetic before returning; when the search cannot
-certify primitivity it raises DecompositionFailed rather than guess.
+certify primitivity it raises UnsupportedCorner rather than guess.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 import sympy
 
 from .algebra import FinAlgebra, SubspaceIdeal, quotient_algebra, radical
-from .errors import DecompositionFailed, ValidationError
+from .errors import DecompositionFailed, UnsupportedCorner, ValidationError
 from .fields import Field
 from .linalg import (
     RowSpace,
@@ -180,7 +180,7 @@ def split_semisimple_unit(A: FinAlgebra) -> tuple[list, list]:
             continue
         cert = _certify_primitive(A, e)
         if cert is None:
-            raise DecompositionFailed(
+            raise UnsupportedCorner(
                 "cannot split or certify an idempotent as primitive")
         done.append(e)
         certs.append(cert)
@@ -263,7 +263,7 @@ def verify_family(B: FinAlgebra, family, require_primitive: bool = True) -> list
     """Check a proposed complete orthogonal family; returns certificates.
 
     Primitivity is certified through corners of the semisimple quotient;
-    anything uncertifiable raises DecompositionFailed.
+    anything uncertifiable raises UnsupportedCorner.
     """
     F = B.field
     if B.unit is None:
@@ -288,7 +288,7 @@ def verify_family(B: FinAlgebra, family, require_primitive: bool = True) -> list
             ebar = proj(tuple(e))
             cert = _certify_primitive(Q, ebar)
             if cert is None:
-                raise DecompositionFailed(
+                raise UnsupportedCorner(
                     "cannot certify a proposed idempotent as primitive")
             certs.append(cert)
     else:

@@ -33,7 +33,10 @@ def vec_scale(F: Field, c, x: tuple) -> tuple:
 def basis_vec(F: Field, n: int, i: int) -> tuple:
     return tuple(F.one if j == i else F.zero for j in range(n))
 
-def sparse_vec(F: Field, x: tuple) -> dict:
+def sparse_vec(F: Field, x) -> dict:
+    """x without its zero entries; a sparse dict is returned as it is."""
+    if isinstance(x, dict):
+        return x
     return {i: v for i, v in enumerate(x) if not F.is_zero(v)}
 
 def dense_vec(F: Field, n: int, x: dict) -> tuple:
@@ -66,6 +69,15 @@ def bilinear(F: Field, table: dict, x: dict, y: dict) -> dict:
             if terms:
                 axpy(F, acc, F.mul(xi, yj), terms)
     return acc
+
+
+def tensor_legs(tensor: dict, outer: int = 0) -> dict:
+    """Split a sparse {(i, j): v} tensor into sparse legs {i: {j: v}}, or
+    {j: {i: v}} when outer is 1."""
+    legs: dict = {}
+    for key, v in tensor.items():
+        legs.setdefault(key[outer], {})[key[1 - outer]] = v
+    return legs
 
 
 def prune(F: Field, table: dict) -> dict:

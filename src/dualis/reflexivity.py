@@ -30,7 +30,7 @@ from .errors import (
 )
 from .fields import Field
 from .idempotents import complete_primitive_idempotents, verify_family
-from .linalg import RowSpace, SparseMatrix, axpy, bilinear, sparse_vec, vec_add
+from .linalg import RowSpace, SparseMatrix, axpy, bilinear, sparse_vec, tensor_legs, vec_add
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,8 @@ def _check_coideal(C: FinCoalgebra, basis: list, side: str) -> None:
     for w in basis:
         rs.add(w)
     for w in basis:
-        legs: dict = {}
-        for (i, j), v in C.comult_of(w).items():
-            outer, inner = (i, j) if side == "right" else (j, i)
-            vec = legs.setdefault(outer, [F.zero] * C.dim)
-            vec[inner] = F.add(vec[inner], v)
-        for vec in legs.values():
-            if not rs.contains(tuple(vec)):
+        for vec in tensor_legs(C.comult_of(w), 0 if side == "right" else 1).values():
+            if not rs.contains(vec):
                 raise ValidationError(
                     f"{side} block is not a coideal on that side")
 

@@ -9,13 +9,16 @@ written.  Object blocks carry a "type" tag:
     comodule         coalgebra (ref), dim, coaction [[t,s,k,"c"],...]
     functional       field, sequence ["1","1","2",...]
     quiver           vertices [...], arrows [[src,tgt],...]
-    quiver-template  name ("line" | "ray" | "loop" | "star:<k>")
+    quiver-template  name ("line" | "ray" | "loop" | "star:<k>"), or name
+                     "finite" with quiver (ref to a quiver block)
     poset            elements [...], relation [[a,b],...] (closure is taken)
     bialgebra        field, cayley [[..],..], inverses [..]
 
-Checks reference objects by name: {"check": ..., "refs": [...], "params": {}}.
-Unknown check names raise UnknownCheck, dangling refs UnresolvedReference,
-malformed JSON SpecParseError with line and column.
+Checks reference objects by name: {"check": ..., "refs": [name], "params": {}}.
+Every check takes one ref, of the kind CHECKS names.  Unknown check names
+raise UnknownCheck; missing, dangling or wrong-kind refs UnresolvedReference;
+malformed JSON SpecParseError with line and column, as does a dim above
+MAX_SPEC_DIM.
 """
 
 from __future__ import annotations
@@ -92,13 +95,34 @@ class SpecDocument:
         return self.objects[name][1]
 
 
+MAX_SPEC_DIM = 1024  # checked before any table is built; validation grows with dim
+
+
 def _field_of(block: dict):
     return field_from_name(str(block.get("field", "q")))
 
 
+def _dim(block: dict) -> int:
+    dim = int(block["dim"])
+    if not 0 <= dim <= MAX_SPEC_DIM:
+        raise SpecParseError(f"dim {dim} is outside 0..{MAX_SPEC_DIM}")
+    return dim
+
+
+def _ref(doc_objects: dict, name, kind: str):
+    """The object called name, which must be a block of the given kind."""
+    name = str(name)
+    if name not in doc_objects:
+        raise UnresolvedReference(f"no object named {name!r}")
+    got, obj = doc_objects[name]
+    if got != kind:
+        raise UnresolvedReference(f"object {name!r} is a {got}, not a {kind}")
+    return obj
+
+
 def _build_algebra(block, doc_objects):
     F = _field_of(block)
-    dim = int(block["dim"])
+    dim = _dim(block)
     mult: dict = {}
     for row in block.get("mult", []):
         i, j, k, c = row
@@ -111,7 +135,7 @@ def _build_algebra(block, doc_objects):
 
 def _build_coalgebra(block, doc_objects):
     F = _field_of(block)
-    dim = int(block["dim"])
+    dim = _dim(block)
     comult: dict = {}
     for row in block.get("comult", []):
         k, i, j, c = row
@@ -123,14 +147,9 @@ def _build_coalgebra(block, doc_objects):
 
 
 def _build_comodule(block, doc_objects):
-    ref = str(block["coalgebra"])
-    if ref not in doc_objects:
-        raise UnresolvedReference(f"no object named {ref!r}")
-    kind, C = doc_objects[ref]
-    if kind != "coalgebra":
-        raise UnresolvedReference(f"object {ref!r} is a {kind}, not a coalgebra")
+    C = _ref(doc_objects, block["coalgebra"], "coalgebra")
     F = C.field
-    dim = int(block["dim"])
+    dim = _dim(block)
     coaction: dict = {}
     for row in block.get("coaction", []):
         t, s, k, c = row
@@ -155,10 +174,7 @@ def _build_quiver(block, doc_objects):
 def _build_template(block, doc_objects):
     name = str(block["name"])
     if name == "finite":
-        ref = str(block["quiver"])
-        if ref not in doc_objects:
-            raise UnresolvedReference(f"no object named {ref!r}")
-        return FiniteTemplate(doc_objects[ref][1])
+        return FiniteTemplate(_ref(doc_objects, block["quiver"], "quiver"))
     return make_template(name)
 
 
@@ -227,27 +243,28 @@ def parse_spec(text: str) -> SpecDocument:
         name = str(item["check"])
         if name not in CHECKS:
             raise UnknownCheck(f"unknown check {name!r}")
+        kind = CHECKS[name][0]
         refs = tuple(str(r) for r in item.get("refs", []))
+        if len(refs) != 1:
+            raise UnresolvedReference(
+                f"check {name!r} takes one {kind} ref, got {len(refs)}")
+        _ref(objects, refs[0], kind)
         params = dict(item.get("params", {}))
         checks.append(Check(name, refs, params))
-    doc = SpecDocument(objects, tuple(checks))
-    for check in doc.checks:
-        for r in check.refs:
-            doc.resolve(r)
-    return doc
+    return SpecDocument(objects, tuple(checks))
 
 
 def _build_object(kind, block, objects):
     try:
         return _BUILDERS[kind](block, objects)
-    except SpecParseError:
+    except (SpecParseError, UnresolvedReference):
         raise
     except (KeyError, TypeError, IndexError, ValueError) as e:
         raise SpecParseError(f"malformed {kind} block: {e!r}") from e
 
 
 # ---------------------------------------------------------------------------
-# check registry: name -> fn(objs, params, rng) -> (ok, details)
+# check registry: name -> (kind of its one ref, fn(objs, params, rng) -> (ok, details))
 
 def _check_pathdual(objs, params, rng):
     Q = objs[0]
@@ -360,23 +377,23 @@ def _check_membership(objs, params, rng):
 
 
 CHECKS = {
-    "verify_pathdual_iso": _check_pathdual,
-    "verify_incidencedual_iso": _check_incidencedual,
-    "semiperfect": _check_semiperfect,
-    "coreflexive": _check_coreflexive,
-    "unital_dual_compat": _check_unital_dual_compat,
-    "dual_unitalization_iso": _check_dual_unitalization,
-    "decompose_injectives": _check_decompose_injectives,
-    "hopf_selfdual": _check_hopf_selfdual,
-    "lattice_agreement": _check_lattice_agreement,
-    "linrec": _check_linrec,
-    "membership": _check_membership,
+    "verify_pathdual_iso": ("quiver", _check_pathdual),
+    "verify_incidencedual_iso": ("poset", _check_incidencedual),
+    "semiperfect": ("quiver-template", _check_semiperfect),
+    "coreflexive": ("coalgebra", _check_coreflexive),
+    "unital_dual_compat": ("algebra", _check_unital_dual_compat),
+    "dual_unitalization_iso": ("coalgebra", _check_dual_unitalization),
+    "decompose_injectives": ("coalgebra", _check_decompose_injectives),
+    "hopf_selfdual": ("bialgebra", _check_hopf_selfdual),
+    "lattice_agreement": ("comodule", _check_lattice_agreement),
+    "linrec": ("functional", _check_linrec),
+    "membership": ("functional", _check_membership),
 }
 
 
 def run_check(doc: SpecDocument, check: Check, rng: Random):
     objs = [doc.resolve(r) for r in check.refs]
-    return CHECKS[check.name](objs, check.params, rng)
+    return CHECKS[check.name][1](objs, check.params, rng)
 
 
 # ---------------------------------------------------------------------------

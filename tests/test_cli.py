@@ -84,6 +84,28 @@ def test_input_errors_exit_two(tmp_path, capsys):
     unwritable = str(tmp_path / "missing-dir" / "r.json")
     assert main(["suite", "randomized", "--trials", "1", "--out", unwritable]) == 2
     assert "cannot write" in capsys.readouterr().err
+    chain = {"type": "poset", "elements": [0, 1], "relation": [[0, 1]]}
+    hostile = {
+        "finite template on a poset": {
+            "objects": {"p": chain, "t": {"type": "quiver-template", "name": "finite",
+                                          "quiver": "p"}},
+            "checks": [{"check": "semiperfect", "refs": ["t"]}]},
+        "check ref of the wrong kind": {
+            "objects": {"p": chain}, "checks": [{"check": "coreflexive", "refs": ["p"]}]},
+        "check without its ref": {
+            "objects": {"t": {"type": "quiver-template", "name": "ray"}},
+            "checks": [{"check": "semiperfect", "refs": []}]},
+    }
+    for name, doc in hostile.items():
+        p = tmp_path / "hostile.json"
+        p.write_text(json.dumps(doc))
+        assert main(["run", str(p)]) == 2, name
+        assert capsys.readouterr().err.startswith("error: "), name
+    huge = {"objects": {"a": {"type": "algebra", "field": "q", "dim": "3000000"}}}
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(huge))
+    assert main(["unitalize", str(p), "--object", "a"]) == 2
+    assert "dim 3000000" in capsys.readouterr().err
 
 
 def test_suite_verb(capsys):

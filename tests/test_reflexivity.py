@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from dualis.coalgebra import FinCoalgebra, comatrix, dual_algebra
+from dualis.algebra import FinAlgebra
+from dualis.coalgebra import FinCoalgebra, comatrix, dual_algebra, dual_coalgebra
 from dualis.combinat import FiniteTemplate, Quiver, make_template, path_coalgebra
 from dualis.comodule import FinModule, comodule_to_dual_module
 from dualis.errors import (
     DecompositionFailed,
     InsufficientClosureRadius,
+    UnsupportedCorner,
     ValidationError,
 )
 from dualis.fields import GF, QQ
@@ -68,6 +70,30 @@ def test_counit_itself_is_rejected_as_imprimitive():
     C, _ = path_coalgebra(QQ, A3)
     with pytest.raises(DecompositionFailed):
         decompose_injectives(C, "right", idempotents=[C.counit])
+
+
+def quaternions(F):
+    """Hamilton's quaternions on 1, i, j, k."""
+    one, m = F.one, F.neg(F.one)
+    mult = {(0, a): {a: one} for a in range(4)}
+    mult.update({(a, 0): {a: one} for a in range(1, 4)})
+    for a in range(1, 4):
+        b, c = a % 3 + 1, (a + 1) % 3 + 1  # i j = k, j k = i, k i = j
+        mult[(a, a)] = {0: m}
+        mult[(a, b)] = {c: one}
+        mult[(b, a)] = {c: m}
+    return FinAlgebra(F, 4, mult, (one, F.zero, F.zero, F.zero))
+
+
+def test_quaternion_corner_is_unsupported_over_q_and_split_mod_p():
+    # over Q the quaternions are a division algebra: one noncommutative
+    # corner the certifier cannot handle, reported as such, not as a bug
+    with pytest.raises(UnsupportedCorner):
+        decompose_injectives(dual_coalgebra(quaternions(QQ)), "right")
+    # over F_101 they are M_2, whose dual coalgebra has two 2-dim blocks
+    dec = decompose_injectives(dual_coalgebra(quaternions(GF(101))), "right")
+    assert dec.block_dims == (2, 2)
+    assert issubclass(UnsupportedCorner, DecompositionFailed)
 
 
 def test_comatrix_blocks_are_columns():

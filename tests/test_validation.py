@@ -1,5 +1,7 @@
 """Where validation happens: every public entry point rejects a corrupted
-table, and the duals, which skip re-validation, equal the validated build."""
+table, the duals, which skip re-validation, equal the validated build, and
+the coalgebra-side constructors, which check their axioms through the dual,
+agree with plain loops over the coalgebra-side axioms."""
 
 import json
 from random import Random
@@ -7,6 +9,7 @@ from random import Random
 import pytest
 
 from dualis.algebra import AlgebraMorphism, FinAlgebra
+from dualis.combinat import path_algebra
 from dualis.coalgebra import (
     CoalgebraMorphism,
     FinCoalgebra,
@@ -20,7 +23,16 @@ from dualis.errors import DualisError
 from dualis.fields import GF, QQ
 from dualis.finite_dual import FinBialgebra, GradedAlgebra, bialgebra_dual, group_bialgebra
 from dualis.linalg import SparseMatrix
-from dualis.randgen import hopf_instances, rand_algebra, rand_coalgebra
+from dualis.randgen import (
+    conjugate_coalgebra,
+    hopf_instances,
+    rand_acyclic_quiver,
+    rand_algebra,
+    rand_coalgebra,
+    rand_comodule,
+    rand_invertible,
+    rand_morphism_triple,
+)
 from dualis.specdoc import parse_spec
 
 ONE = QQ.one
@@ -157,3 +169,205 @@ def test_duals_equal_the_validated_construction(F):
                                        H.coalgebra.counit)
         assert D.coalgebra == FinCoalgebra(F, H.dim, transpose_mult(H.algebra.mult),
                                            H.algebra.unit)
+
+
+# ---------------------------------------------------------------------------
+# plain-loop references for the axioms the constructors check through the dual
+
+def _acc(F, acc: dict, key, v) -> None:
+    acc[key] = F.add(acc.get(key, F.zero), v)
+
+
+def _nonzero(F, acc: dict) -> dict:
+    return {k: v for k, v in acc.items() if not F.is_zero(v)}
+
+
+def _identity_row(F, dim: int, k: int) -> list:
+    return [F.one if x == k else F.zero for x in range(dim)]
+
+
+def _coalgebra_ok(F, dim, comult, counit) -> bool:
+    """(delta (x) I) delta = (I (x) delta) delta and the counit axiom."""
+    for k in range(dim):
+        lhs: dict = {}
+        rhs: dict = {}
+        for (i, j), v in comult.get(k, {}).items():
+            for (a, b), w in comult.get(i, {}).items():
+                _acc(F, lhs, (a, b, j), F.mul(v, w))
+            for (b, c), w in comult.get(j, {}).items():
+                _acc(F, rhs, (i, b, c), F.mul(v, w))
+        if _nonzero(F, lhs) != _nonzero(F, rhs):
+            return False
+    if counit is not None:
+        for k in range(dim):
+            left = [F.zero] * dim
+            right = [F.zero] * dim
+            for (i, j), v in comult.get(k, {}).items():
+                left[j] = F.add(left[j], F.mul(counit[i], v))
+                right[i] = F.add(right[i], F.mul(counit[j], v))
+            if left != _identity_row(F, dim, k) or right != _identity_row(F, dim, k):
+                return False
+    return True
+
+
+def _morphism_ok(F, C, D, entries, counital) -> bool:
+    """delta_D f = (f (x) f) delta_C, and eps_D f = eps_C when counital."""
+    images = [{r: v for (r, c), v in entries.items() if c == k} for k in range(C.dim)]
+    for k in range(C.dim):
+        lhs: dict = {}
+        for s, c in images[k].items():
+            for (a, b), w in D.comult.get(s, {}).items():
+                _acc(F, lhs, (a, b), F.mul(c, w))
+        rhs: dict = {}
+        for (i, j), v in C.comult.get(k, {}).items():
+            for a, va in images[i].items():
+                for b, vb in images[j].items():
+                    _acc(F, rhs, (a, b), F.mul(v, F.mul(va, vb)))
+        if _nonzero(F, lhs) != _nonzero(F, rhs):
+            return False
+        if counital:
+            eps = F.zero
+            for t, v in images[k].items():
+                eps = F.add(eps, F.mul(D.counit[t], v))
+            if eps != C.counit[k]:
+                return False
+    return True
+
+
+def _comodule_ok(F, C, dim, coaction) -> bool:
+    """(rho (x) I) rho = (I (x) delta) rho, and (I (x) eps) rho = I."""
+    for t in range(dim):
+        lhs: dict = {}
+        rhs: dict = {}
+        for (s, k), v in coaction.get(t, {}).items():
+            for (i, j), w in C.comult.get(k, {}).items():
+                _acc(F, lhs, (s, i, j), F.mul(v, w))
+            for (u, i), w in coaction.get(s, {}).items():
+                _acc(F, rhs, (u, i, k), F.mul(v, w))
+        if _nonzero(F, lhs) != _nonzero(F, rhs):
+            return False
+        if C.counit is not None:
+            acc = [F.zero] * dim
+            for (s, k), v in coaction.get(t, {}).items():
+                acc[s] = F.add(acc[s], F.mul(v, C.counit[k]))
+            if acc != _identity_row(F, dim, t):
+                return False
+    return True
+
+
+def _graded_ok(F, keys, mult, unit) -> bool:
+    """Associativity on basis triples and the unit on both sides."""
+    def mul(x: dict, y: dict) -> dict:
+        acc: dict = {}
+        for a, xa in x.items():
+            for b, yb in y.items():
+                for c, w in mult.get((a, b), {}).items():
+                    _acc(F, acc, c, F.mul(F.mul(xa, yb), w))
+        return _nonzero(F, acc)
+
+    one = F.one
+    for a in keys:
+        for b in keys:
+            ab = mul({a: one}, {b: one})
+            for c in keys:
+                if mul(ab, {c: one}) != mul({a: one}, mul({b: one}, {c: one})):
+                    return False
+    return unit is None or all(
+        mul(unit, {a: one}) == {a: one} == mul({a: one}, unit) for a in keys)
+
+
+def _other_scalar(F, rng, v):
+    while True:
+        w = F.from_int(rng.randint(-3, 3))
+        if w != v:
+            return w
+
+
+def _corrupt(F, rng, table: dict, position) -> dict:
+    """Copy of a nested table with one entry changed: an existing one, or
+    the one at position() = (key, subkey)."""
+    out = {key: dict(terms) for key, terms in table.items()}
+    entries = [(key, sub) for key, terms in out.items() for sub in terms]
+    key, sub = rng.choice(entries) if entries and rng.random() < 0.5 else position()
+    terms = out.setdefault(key, {})
+    terms[sub] = _other_scalar(F, rng, terms.get(sub, F.zero))
+    return out
+
+
+def _builds(build) -> bool:
+    try:
+        build()
+    except DualisError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("F", [QQ, GF(2), GF(101)], ids=["q", "f2", "fp101"])
+def test_checks_through_the_dual_match_plain_coalgebra_side_loops(F):
+    rng = Random(f"dual-checks:{F.name()}")
+    seen = {"coalgebra": set(), "morphism": set(), "comodule": set(), "graded": set()}
+
+    def agree(kind, ok, build):
+        assert _builds(build) == ok, kind
+        seen[kind].add(ok)
+
+    for n in range(12):
+        C = rand_coalgebra(F, rng, max_dim=4, counital=n % 3 != 0)
+        d = C.dim
+        for _ in range(3):
+            comult = _corrupt(F, rng, C.comult, lambda: (
+                rng.randrange(d), (rng.randrange(d), rng.randrange(d))))
+            agree("coalgebra", _coalgebra_ok(F, d, comult, C.counit),
+                  lambda: FinCoalgebra(F, d, comult, C.counit))
+        if C.counit is not None:
+            counit = list(C.counit)
+            k = rng.randrange(d)
+            counit[k] = _other_scalar(F, rng, counit[k])
+            agree("coalgebra", _coalgebra_ok(F, d, C.comult, counit),
+                  lambda: FinCoalgebra(F, d, C.comult, tuple(counit)))
+
+        M = rand_comodule(rng, C, copies=1 + n % 2)
+        agree("comodule", _comodule_ok(F, C, M.dim, M.coaction),
+              lambda: FinComodule(C, M.dim, M.coaction))
+        for _ in range(3):
+            coaction = _corrupt(F, rng, M.coaction, lambda: (
+                rng.randrange(M.dim), (rng.randrange(M.dim), rng.randrange(d))))
+            agree("comodule", _comodule_ok(F, C, M.dim, coaction),
+                  lambda: FinComodule(C, M.dim, coaction))
+
+        _, iso = conjugate_coalgebra(C, rand_invertible(F, rng, d))
+        for f in (iso, rand_morphism_triple(F, rng, max_dim=4)[2]):
+            src, tgt = f.source, f.target
+            agree("morphism", _morphism_ok(F, src, tgt, f.matrix.entries, f.counital),
+                  lambda: CoalgebraMorphism(src, tgt, f.matrix, counital=f.counital))
+            for _ in range(3):
+                ent = dict(f.matrix.entries)
+                pos = (rng.choice(sorted(ent)) if ent and rng.random() < 0.5
+                       else (rng.randrange(tgt.dim), rng.randrange(src.dim)))
+                ent[pos] = _other_scalar(F, rng, ent.get(pos, F.zero))
+                mat = SparseMatrix(F, tgt.dim, src.dim, ent)
+                agree("morphism", _morphism_ok(F, src, tgt, ent, f.counital),
+                      lambda: CoalgebraMorphism(src, tgt, mat, counital=f.counital))
+
+        G, _ = path_algebra(F, rand_acyclic_quiver(rng, max_vertices=3, max_arrows=3))
+        keys = list(G.basis_keys())
+        agree("graded", _graded_ok(F, keys, G.mult, G.unit), lambda: G)
+        unit = dict(G.unit)
+        k = rng.choice([key for key in keys if key[0] == 0])
+        unit[k] = _other_scalar(F, rng, unit.get(k, F.zero))
+        agree("graded", _graded_ok(F, keys, G.mult, unit),
+              lambda: GradedAlgebra(F, G.component_dims, G.mult, unit))
+
+        def product_position():
+            """Basis keys a, b and a key c in degree deg a + deg b."""
+            while True:
+                a, b = rng.choice(keys), rng.choice(keys)
+                same = [c for c in keys if c[0] == a[0] + b[0]]
+                if same:
+                    return (a, b), rng.choice(same)
+
+        mult = _corrupt(F, rng, G.mult, product_position)
+        agree("graded", _graded_ok(F, keys, mult, G.unit),
+              lambda: GradedAlgebra(F, G.component_dims, mult, G.unit))
+
+    assert all(outcomes == {True, False} for outcomes in seen.values()), seen
