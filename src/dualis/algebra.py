@@ -96,9 +96,6 @@ class FinAlgebra:
     def basis_product(self, i: int, j: int) -> dict:
         return dict(self.mult.get((i, j), {}))
 
-    def is_unital(self) -> bool:
-        return self.unit is not None
-
 
 def matrix_algebra(F: Field, n: int) -> FinAlgebra:
     """Full matrix algebra; basis unit e_{rc} sits at index r*n + c."""
@@ -129,8 +126,23 @@ class AlgebraMorphism:
         if F != self.target.field:
             raise ValidationError("morphism between different base fields")
         images = self.matrix.columns()
-        for i in range(self.source.dim):
-            for j in range(self.source.dim):
+        # Only pairs with a source product, or with a target product between
+        # the images' supports, can have a nonzero side; all others read 0 = 0.
+        right: dict = {}  # left index -> right indices of target.mult
+        for a, b in self.target.mult:
+            right.setdefault(a, []).append(b)
+        holders: dict = {}  # target index -> source indices whose image has it
+        for j, col in enumerate(images):
+            for b in col:
+                holders.setdefault(b, []).append(j)
+        partners = [set() for _ in range(self.source.dim)]
+        for i, j in self.source.mult:
+            partners[i].add(j)
+        for i, js in enumerate(partners):
+            for a in images[i]:
+                for b in right.get(a, ()):
+                    js.update(holders.get(b, ()))
+            for j in sorted(js):
                 lhs: dict = {}
                 for k, c in self.source.mult.get((i, j), {}).items():
                     axpy(F, lhs, c, images[k])

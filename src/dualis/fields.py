@@ -1,15 +1,18 @@
 """Exact scalar arithmetic over the rationals and prime fields.
 
-Scalars are plain values: ``fractions.Fraction`` in characteristic zero,
-canonical residues (ints in [0, p)) in characteristic p.  A ``Field`` object
-carries the operations so structures can stay field-generic without wrapping
-every scalar.
+Scalars are plain values: in characteristic zero ``int`` when integral,
+otherwise ``fractions.Fraction``; canonical residues (ints in [0, p)) in
+characteristic p.  A rational result with denominator 1 is returned as its
+numerator, so integer entries never pay for ``Fraction`` arithmetic.  A
+``Field`` object carries the operations so structures can stay field-generic
+without wrapping every scalar.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .errors import ValidationError
 
@@ -57,27 +60,30 @@ class Field:
 
     @property
     def zero(self):
-        return Fraction(0) if self.characteristic == 0 else 0
+        return 0
 
     @property
     def one(self):
-        return Fraction(1) if self.characteristic == 0 else 1
+        return 1
 
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, a, b):
         if self.characteristic == 0:
-            return a + b
+            r = a + b
+            return r.numerator if r.denominator == 1 else r
         return (a + b) % self.characteristic
 
     def sub(self, a, b):
         if self.characteristic == 0:
-            return a - b
+            r = a - b
+            return r.numerator if r.denominator == 1 else r
         return (a - b) % self.characteristic
 
     def mul(self, a, b):
         if self.characteristic == 0:
-            return a * b
+            r = a * b
+            return r.numerator if r.denominator == 1 else r
         return (a * b) % self.characteristic
 
     def neg(self, a):
@@ -89,7 +95,8 @@ class Field:
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
         if self.characteristic == 0:
-            return 1 / a
+            r = Fraction(1) / a  # 1 / a would be a float for an int a
+            return r.numerator if r.denominator == 1 else r
         return pow(a, -1, self.characteristic)
 
     def div(self, a, b):
@@ -102,13 +109,8 @@ class Field:
 
     def from_int(self, n: int):
         if self.characteristic == 0:
-            return Fraction(n)
+            return index(n)
         return n % self.characteristic
-
-    def fmt(self, a) -> str:
-        if self.characteristic == 0 and a.denominator != 1:
-            return f"{a.numerator}/{a.denominator}"
-        return str(a.numerator if self.characteristic == 0 else a)
 
     def name(self) -> str:
         return "q" if self.characteristic == 0 else f"fp:{self.characteristic}"

@@ -6,13 +6,13 @@ factorization is needed), lift back through the radical by Newton iteration,
 and orthogonalize sequentially inside corners.  Every claimed property is
 re-checked with exact arithmetic before returning; when the search cannot
 certify primitivity it raises UnsupportedCorner rather than guess.
+sympy, the factorizer, is imported on first use, so importing dualis does
+not load it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-import sympy
 
 from .algebra import FinAlgebra, SubspaceIdeal, quotient_algebra, radical
 from .errors import DecompositionFailed, UnsupportedCorner, ValidationError
@@ -32,10 +32,10 @@ from .linalg import (
 
 def _to_sympy_poly(F: Field, coeffs, t):
     """coeffs low -> high in our scalars, to a sympy Poly (high -> low)."""
+    import sympy
+
     if F.characteristic == 0:
-        cs = [sympy.Rational(c.numerator, c.denominator)
-              if isinstance(c, Fraction) else sympy.Rational(c)
-              for c in reversed(coeffs)]
+        cs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)]
         return sympy.Poly(cs, t, domain="QQ")
     return sympy.Poly([int(c) for c in reversed(coeffs)], t,
                       domain=sympy.GF(F.characteristic))
@@ -43,11 +43,13 @@ def _to_sympy_poly(F: Field, coeffs, t):
 
 def _from_sympy_coeffs(F: Field, poly) -> list:
     """sympy Poly to our scalars, low -> high."""
+    import sympy
+
     out = []
     for c in reversed(poly.all_coeffs()):
         if F.characteristic == 0:
             r = sympy.Rational(c)
-            out.append(Fraction(int(r.p), int(r.q)))
+            out.append(int(r.p) if r.q == 1 else Fraction(int(r.p), int(r.q)))
         else:
             out.append(int(c) % F.characteristic)
     return out
@@ -90,6 +92,8 @@ def _try_split(A: FinAlgebra, e: tuple, x: tuple):
     Returns (e1, e2) with e = e1 + e2 orthogonal idempotents, or None when
     the minimal polynomial is a power of one irreducible.
     """
+    import sympy
+
     F = A.field
     coeffs = min_poly_in_corner(A, x, e)
     if len(coeffs) <= 2:
@@ -129,6 +133,8 @@ def _corner_basis(A: FinAlgebra, e: tuple) -> list:
 
 def _certify_primitive(A: FinAlgebra, e: tuple) -> str | None:
     """A certificate string when e is provably primitive in semisimple A."""
+    import sympy
+
     F = A.field
     corner = _corner_basis(A, e)
     if len(corner) == 1:

@@ -82,10 +82,11 @@ def tensor_legs(tensor: dict, outer: int = 0) -> dict:
 
 def prune(F: Field, table: dict) -> dict:
     """Copy of a nested {key: {key: scalar}} table without zero scalars or
-    empty rows."""
+    empty rows; integral rationals become ints, as Field results are."""
     out = {}
     for key, terms in table.items():
-        keep = {k: v for k, v in terms.items() if not F.is_zero(v)}
+        keep = {k: v.numerator if v.denominator == 1 else v
+                for k, v in terms.items() if not F.is_zero(v)}
         if keep:
             out[key] = keep
     return out

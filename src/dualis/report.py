@@ -21,10 +21,9 @@ SCHEMA = "dualis-report/1"
 
 def scalar_str(F: Field, v) -> str:
     if F.characteristic == 0:
-        f = v if isinstance(v, Fraction) else Fraction(v)
-        if f.denominator == 1:
-            return str(f.numerator)
-        return f"{f.numerator}/{f.denominator}"
+        if v.denominator == 1:
+            return str(v.numerator)
+        return f"{v.numerator}/{v.denominator}"
     return str(int(v) % F.characteristic)
 
 
@@ -39,7 +38,7 @@ def parse_scalar(F: Field, s: str):
     except (ValueError, ZeroDivisionError) as e:
         raise SpecParseError(f"bad scalar {s!r}: {e}") from e
     if F.characteristic == 0:
-        return f
+        return f.numerator if f.denominator == 1 else f
     p = F.characteristic
     if f.denominator % p == 0:
         raise SpecParseError(f"scalar {s!r} has no residue mod {p}")

@@ -15,10 +15,13 @@ written.  Object blocks carry a "type" tag:
     bialgebra        field, cayley [[..],..], inverses [..]
 
 Checks reference objects by name: {"check": ..., "refs": [name], "params": {}}.
-Every check takes one ref, of the kind CHECKS names.  Unknown check names
-raise UnknownCheck; missing, dangling or wrong-kind refs UnresolvedReference;
-malformed JSON SpecParseError with line and column, as does a dim above
-MAX_SPEC_DIM.
+Every check takes one ref, of the kind CHECKS names, and the params its
+schema in CHECKS lists: each is converted to its type when the document is
+parsed, an absent or null one takes its default, and other keys are
+ignored.  Unknown check names raise UnknownCheck; missing, dangling or
+wrong-kind refs UnresolvedReference; malformed JSON SpecParseError with line
+and column, as do a dim above MAX_SPEC_DIM, a non-object "params" and a
+param value of the wrong type.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .errors import (
     SpecParseError,
     UnknownCheck,
     UnresolvedReference,
+    ValidationError,
 )
 from .fields import field_from_name
 from .finite_dual import (
@@ -249,9 +253,22 @@ def parse_spec(text: str) -> SpecDocument:
             raise UnresolvedReference(
                 f"check {name!r} takes one {kind} ref, got {len(refs)}")
         _ref(objects, refs[0], kind)
-        params = dict(item.get("params", {}))
-        checks.append(Check(name, refs, params))
+        checks.append(Check(name, refs, _parse_params(name, item.get("params", {}))))
     return SpecDocument(objects, tuple(checks))
+
+
+def _parse_params(check: str, raw) -> dict:
+    """The check's params, typed by its schema, with defaults filled in."""
+    if not isinstance(raw, dict):
+        raise SpecParseError(f"params of check {check!r} must be an object")
+    params = {}
+    for name, (convert, default) in CHECKS[check][2].items():
+        value = raw.get(name)
+        try:
+            params[name] = default if value is None else convert(value)
+        except (ValueError, ValidationError) as e:
+            raise SpecParseError(f"check {check!r} param {name!r}: {e}") from e
+    return params
 
 
 def _build_object(kind, block, objects):
@@ -264,13 +281,12 @@ def _build_object(kind, block, objects):
 
 
 # ---------------------------------------------------------------------------
-# check registry: name -> (kind of its one ref, fn(objs, params, rng) -> (ok, details))
+# checks: fn(objs, params, rng) -> (ok, details), registered in CHECKS below
 
 def _check_pathdual(objs, params, rng):
     Q = objs[0]
-    F = field_from_name(str(params.get("field", "q")))
-    max_len = params.get("max_len")
-    alg, co = verify_pathdual_iso(F, Q, None if max_len is None else int(max_len))
+    F = field_from_name(params["field"])
+    alg, co = verify_pathdual_iso(F, Q, params["max_len"])
     return True, {
         "dim": alg.source.dim,
         "algebra_to_dual_matrix": matrix_json(alg.matrix),
@@ -280,7 +296,7 @@ def _check_pathdual(objs, params, rng):
 
 def _check_incidencedual(objs, params, rng):
     P = objs[0]
-    F = field_from_name(str(params.get("field", "q")))
+    F = field_from_name(params["field"])
     alg, co = verify_incidencedual_iso(F, P)
     return True, {"dim": alg.source.dim,
                   "algebra_to_dual_matrix": matrix_json(alg.matrix)}
@@ -288,11 +304,7 @@ def _check_incidencedual(objs, params, rng):
 
 def _check_semiperfect(objs, params, rng):
     template = objs[0]
-    side = str(params.get("side", "right"))
-    radius = int(params.get("radius", 3))
-    bound = int(params.get("bound", 64))
-    rep = semiperfect_check(template, side, radius, bound)
-    expect = str(params.get("expect", "holds"))
+    rep = semiperfect_check(template, params["side"], params["radius"], params["bound"])
     details = {"status": rep.status, "side": rep.side, "radius": rep.radius,
                "bound": rep.bound}
     if rep.vertex is not None:
@@ -300,7 +312,7 @@ def _check_semiperfect(objs, params, rng):
         details["count"] = rep.count
     if rep.per_vertex is not None:
         details["per_vertex"] = [[str(v), c] for v, c in rep.per_vertex]
-    return rep.status == expect, details
+    return rep.status == params["expect"], details
 
 
 def _check_coreflexive(objs, params, rng):
@@ -328,9 +340,8 @@ def _check_dual_unitalization(objs, params, rng):
 
 def _check_decompose_injectives(objs, params, rng):
     C = objs[0]
-    side = str(params.get("side", "right"))
-    dec = decompose_injectives(C, side)
-    return True, {"side": side, "block_dims": list(dec.block_dims),
+    dec = decompose_injectives(C, params["side"])
+    return True, {"side": params["side"], "block_dims": list(dec.block_dims),
                   "certificates": list(dec.certificates)}
 
 
@@ -342,9 +353,8 @@ def _check_hopf_selfdual(objs, params, rng):
 
 def _check_lattice_agreement(objs, params, rng):
     M = objs[0]
-    samples = int(params.get("samples", 50))
     out = lattice_agreement_check(M, seed=rng.randrange(1 << 30),
-                                  samples=samples)
+                                  samples=params["samples"])
     return out["agree"] == out["checked"], {
         "checked": out["checked"], "agree": out["agree"],
         "exhaustive": out["exhaustive"],
@@ -354,40 +364,73 @@ def _check_lattice_agreement(objs, params, rng):
 def _check_linrec(objs, params, rng):
     holder = objs[0]
     F = holder.field
-    bound = int(params.get("rank_bound", 8))
-    out = linrec_analyze(F, list(holder.sequence), bound)
+    out = linrec_analyze(F, list(holder.sequence), params["rank_bound"])
+    expect = params["expect_order"]
     if isinstance(out, LinRec):
         details = {"order": out.order,
                    "poly": [scalar_str(F, c) for c in out.poly]}
-        expect = params.get("expect_order")
-        ok = True if expect is None else out.order == int(expect)
-        return ok, details
+        return expect is None or out.order == expect, details
     details = {"not_within": out.dim, "level": out.level}
-    return params.get("expect_order") is None, details
+    return expect is None, details
 
 
 def _check_membership(objs, params, rng):
     holder = objs[0]
-    bound = int(params.get("bound", 4))
-    out = membership_bounded(holder.carrier(), holder.functional(), bound)
+    out = membership_bounded(holder.carrier(), holder.functional(), params["bound"])
     if isinstance(out, Member):
         return True, {"member": True, "dim": out.dim,
                       "level_dims": list(out.level_dims)}
     return False, {"member": False, "dim": out.dim, "level": out.level}
 
 
+# param types: each converts a JSON value or raises ValueError
+
+def _count(v) -> int:
+    """A nonnegative integer, written as a JSON integer or a decimal string."""
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise ValueError(f"expected an integer, got {v!r}")
+    n = int(v)
+    if n < 0:
+        raise ValueError(f"expected a nonnegative integer, got {n}")
+    return n
+
+
+def _field_name(v) -> str:
+    if not isinstance(v, str):
+        raise ValueError(f"expected a field name, got {v!r}")
+    return field_from_name(v).name()
+
+
+def _one_of(*options):
+    def convert(v) -> str:
+        if v not in options:
+            raise ValueError(f"expected one of {', '.join(options)}, got {v!r}")
+        return v
+    return convert
+
+
+_SIDE = (_one_of("left", "right"), "right")
+
+# name -> (kind of its one ref, fn(objs, params, rng) -> (ok, details),
+#          params schema {param: (type, default)})
 CHECKS = {
-    "verify_pathdual_iso": ("quiver", _check_pathdual),
-    "verify_incidencedual_iso": ("poset", _check_incidencedual),
-    "semiperfect": ("quiver-template", _check_semiperfect),
-    "coreflexive": ("coalgebra", _check_coreflexive),
-    "unital_dual_compat": ("algebra", _check_unital_dual_compat),
-    "dual_unitalization_iso": ("coalgebra", _check_dual_unitalization),
-    "decompose_injectives": ("coalgebra", _check_decompose_injectives),
-    "hopf_selfdual": ("bialgebra", _check_hopf_selfdual),
-    "lattice_agreement": ("comodule", _check_lattice_agreement),
-    "linrec": ("functional", _check_linrec),
-    "membership": ("functional", _check_membership),
+    "verify_pathdual_iso": ("quiver", _check_pathdual,
+                            {"field": (_field_name, "q"), "max_len": (_count, None)}),
+    "verify_incidencedual_iso": ("poset", _check_incidencedual,
+                                 {"field": (_field_name, "q")}),
+    "semiperfect": ("quiver-template", _check_semiperfect,
+                    {"side": _SIDE, "radius": (_count, 3), "bound": (_count, 64),
+                     "expect": (_one_of("holds", "fails", "unknown"), "holds")}),
+    "coreflexive": ("coalgebra", _check_coreflexive, {}),
+    "unital_dual_compat": ("algebra", _check_unital_dual_compat, {}),
+    "dual_unitalization_iso": ("coalgebra", _check_dual_unitalization, {}),
+    "decompose_injectives": ("coalgebra", _check_decompose_injectives, {"side": _SIDE}),
+    "hopf_selfdual": ("bialgebra", _check_hopf_selfdual, {}),
+    "lattice_agreement": ("comodule", _check_lattice_agreement,
+                          {"samples": (_count, 50)}),
+    "linrec": ("functional", _check_linrec,
+               {"rank_bound": (_count, 8), "expect_order": (_count, None)}),
+    "membership": ("functional", _check_membership, {"bound": (_count, 4)}),
 }
 
 

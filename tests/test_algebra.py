@@ -179,3 +179,47 @@ def test_morphism_validation_catches_non_multiplicative():
     # x -> E11 is not multiplicative: x*x = 0 but E11*E11 = E11
     with pytest.raises(ValidationError):
         AlgebraMorphism(A, B, SparseMatrix(QQ, 3, 1, {(0, 0): F(1)}))
+
+
+def _first_non_multiplicative_pair(A, B, M):
+    """Plain reference: scan every basis pair of A with dense vectors."""
+    Fd = A.field
+    images = [M.apply(basis_vec(Fd, A.dim, k)) for k in range(A.dim)]
+    for i in range(A.dim):
+        for j in range(A.dim):
+            lhs = [Fd.zero] * B.dim
+            for k, c in A.mult.get((i, j), {}).items():
+                lhs = [Fd.add(u, Fd.mul(c, v)) for u, v in zip(lhs, images[k])]
+            if tuple(lhs) != B.multiply(images[i], images[j]):
+                return i, j
+    return None
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(5)], ids=["q", "fp2", "fp5"])
+def test_morphism_validation_rejects_at_the_first_bad_pair(field):
+    import random
+
+    from dualis.randgen import conjugate_algebra, rand_algebra, rand_invertible, rand_scalar
+
+    rng = random.Random(f"morphism:{field.name()}")
+    rejected = accepted = 0
+    for trial in range(150):
+        A = rand_algebra(field, rng, max_dim=4)
+        B = conjugate_algebra(A, rand_invertible(field, rng, A.dim)) if trial % 2 \
+            else rand_algebra(field, rng, max_dim=4)
+        ent = {(i, j): rand_scalar(field, rng) for i in range(B.dim) for j in range(A.dim)
+               if rng.random() < 0.4}
+        matrices = [SparseMatrix(field, B.dim, A.dim,
+                                 {k: v for k, v in ent.items() if not field.is_zero(v)})]
+        if A.dim == B.dim:
+            matrices.append(SparseMatrix.identity(field, A.dim))
+        for M in matrices:
+            want = _first_non_multiplicative_pair(A, B, M)
+            if want is None:
+                AlgebraMorphism(A, B, M)
+                accepted += 1
+            else:
+                with pytest.raises(ValidationError, match=rf"at \({want[0]},{want[1]}\)$"):
+                    AlgebraMorphism(A, B, M)
+                rejected += 1
+    assert accepted > 0 and rejected > 0

@@ -95,6 +95,13 @@ def test_input_errors_exit_two(tmp_path, capsys):
         "check without its ref": {
             "objects": {"t": {"type": "quiver-template", "name": "ray"}},
             "checks": [{"check": "semiperfect", "refs": []}]},
+        "params that are not an object": {
+            "objects": {"t": {"type": "quiver-template", "name": "ray"}},
+            "checks": [{"check": "semiperfect", "refs": ["t"], "params": 5}]},
+        "a param that does not convert": {
+            "objects": {"t": {"type": "quiver-template", "name": "ray"}},
+            "checks": [{"check": "semiperfect", "refs": ["t"],
+                        "params": {"radius": "x"}}]},
     }
     for name, doc in hostile.items():
         p = tmp_path / "hostile.json"

@@ -7,6 +7,7 @@ import pytest
 
 from dualis.errors import DimensionMismatch
 from dualis.fields import GF, QQ, Field, field_from_name, is_prime
+from dualis.idempotents import _from_sympy_coeffs, _to_sympy_poly
 from dualis.linalg import (
     RowSpace,
     SparseMatrix,
@@ -19,6 +20,7 @@ from dualis.linalg import (
     sparse_vec,
     span_basis,
 )
+from dualis.report import parse_scalar, scalar_str
 
 
 def F(n, d=1):
@@ -26,10 +28,10 @@ def F(n, d=1):
 
 
 def test_field_parse_and_fmt_roundtrip():
-    assert QQ.fmt(F(-3, 4)) == "-3/4"
-    assert QQ.fmt(F(5)) == "5"
+    assert scalar_str(QQ, F(-3, 4)) == "-3/4"
+    assert scalar_str(QQ, F(5)) == "5"
     f7 = GF(7)
-    assert f7.fmt(6) == "6"
+    assert scalar_str(f7, 6) == "6"
     assert field_from_name("fp:101").characteristic == 101
     assert field_from_name("q") == QQ
 
@@ -230,3 +232,92 @@ def test_prune_drops_zero_scalars_and_empty_rows():
     table = {(0, 0): {0: F(1), 1: F(0)}, (0, 1): {1: F(0)}, (1, 1): {}}
     assert prune(QQ, table) == {(0, 0): {0: F(1)}}
     assert table[(0, 0)] == {0: F(1), 1: F(0)}  # the input is left alone
+
+
+# ---------------------------------------------------------------------------
+# the Q scalar contract: int when integral, otherwise Fraction, never a float
+
+
+def _is_canonical_rational(v) -> bool:
+    if type(v) is int:
+        return True
+    return type(v) is Fraction and v.denominator != 1
+
+
+def _rand_rational(rng):
+    if rng.random() < 0.5:
+        return rng.randrange(-9, 10)
+    return Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+
+
+def test_qq_ops_match_plain_fraction_arithmetic_seeded():
+    rng = random.Random("qq-contract")
+    pairs = [(_rand_rational(rng), _rand_rational(rng)) for _ in range(400)]
+    # cancellations that leave an integer or zero behind
+    for a, b in list(pairs):
+        if b != 0:
+            pairs.append((b, QQ.inv(b)))  # x * x^-1
+            fb = Fraction(b)
+            pairs.append((fb.numerator * Fraction(1, fb.denominator),
+                          Fraction(fb.denominator, 1) / fb.numerator))
+        pairs.append((a, QQ.neg(a)))  # a + (-a)
+        pairs.append((Fraction(a) * 3, Fraction(1, 3)))
+    ops = {
+        "add": lambda a, b: a + b,
+        "sub": lambda a, b: a - b,
+        "mul": lambda a, b: a * b,
+        "div": lambda a, b: a / b,
+    }
+    seen_int_from_fraction = 0
+    for a, b in pairs:
+        a = a.numerator if a.denominator == 1 else a
+        b = b.numerator if b.denominator == 1 else b
+        for name, ref in ops.items():
+            if name == "div" and b == 0:
+                continue
+            got = getattr(QQ, name)(a, b)
+            assert got == ref(Fraction(a), Fraction(b)), (name, a, b)
+            assert _is_canonical_rational(got), (name, a, b, got)
+            if type(got) is int and (type(a) is Fraction or type(b) is Fraction):
+                seen_int_from_fraction += 1
+        for x in (a, b):
+            assert QQ.neg(x) == -Fraction(x) and _is_canonical_rational(QQ.neg(x))
+            if x != 0:
+                assert QQ.inv(x) == 1 / Fraction(x)
+                assert _is_canonical_rational(QQ.inv(x)), x
+    assert seen_int_from_fraction > 0
+    half = Fraction(1, 2)
+    assert QQ.add(half, half) == 1 and type(QQ.add(half, half)) is int
+    assert type(QQ.mul(Fraction(2, 3), Fraction(3, 2))) is int
+    assert type(QQ.mul(Fraction(5, 7), QQ.inv(Fraction(5, 7)))) is int
+    assert QQ.add(Fraction(2, 5), QQ.neg(Fraction(2, 5))) == 0
+
+
+def test_qq_inv_returns_exact_rationals():
+    assert QQ.inv(3) == Fraction(1, 3) and type(QQ.inv(3)) is Fraction
+    assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
+    assert type(QQ.inv(Fraction(1, 4))) is int and QQ.inv(Fraction(1, 4)) == 4
+    assert type(QQ.div(6, 3)) is int and QQ.div(6, 3) == 2
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+
+
+def test_qq_scalars_entering_from_outside_are_canonical():
+    for v in (QQ.zero, QQ.one, QQ.from_int(7), QQ.from_int(-3)):
+        assert type(v) is int
+    for text, want in (("4/2", 2), ("-6/3", -2), ("5", 5), ("0/7", 0),
+                       ("-3/4", Fraction(-3, 4)), (" 10/4 ", Fraction(5, 2))):
+        got = parse_scalar(QQ, text)
+        assert got == want and _is_canonical_rational(got), text
+    table = {(0, 0): {0: F(4, 2), 1: F(0), 2: F(1, 3)}, (1, 0): {0: F(-5)}}
+    pruned = prune(QQ, table)
+    assert pruned == {(0, 0): {0: 2, 2: F(1, 3)}, (1, 0): {0: -5}}
+    assert all(_is_canonical_rational(v) for terms in pruned.values()
+               for v in terms.values())
+    import sympy
+
+    t = sympy.Symbol("t")
+    coeffs = [F(-2), 0, F(3, 2), 1]
+    back = _from_sympy_coeffs(QQ, _to_sympy_poly(QQ, coeffs, t))
+    assert back == [-2, 0, F(3, 2), 1]
+    assert all(_is_canonical_rational(c) for c in back)

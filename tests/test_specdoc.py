@@ -173,3 +173,29 @@ def test_finite_template_block():
         [{"check": "semiperfect", "refs": ["t"],
           "params": {"side": "left", "radius": 4, "bound": 20}}]))
     assert run_document(doc, seed=0).passed
+
+
+def test_check_params_are_typed_at_parse_time():
+    ray = {"t": {"type": "quiver-template", "name": "ray"}}
+
+    def params_of(params):
+        doc = parse_spec(doc_text(ray, [{"check": "semiperfect", "refs": ["t"],
+                                         "params": params}]))
+        return doc.checks[0].params
+
+    assert params_of({}) == {"side": "right", "radius": 3, "bound": 64, "expect": "holds"}
+    assert params_of({"radius": "2", "bound": 30, "expect": None, "extra": [1]}) == \
+        {"side": "right", "radius": 2, "bound": 30, "expect": "holds"}
+    for bad in (5, [], "radius", {"radius": "x"}, {"radius": -1}, {"radius": 2.5},
+                {"radius": True}, {"side": "up"}, {"expect": ["holds"]}):
+        with pytest.raises(SpecParseError):
+            params_of(bad)
+    q1 = {"q": {"type": "quiver", "vertices": [0, 1], "arrows": [[0, 1]]}}
+    for field in ("fp:banana", "fp:4", 7):
+        with pytest.raises(SpecParseError):
+            parse_spec(doc_text(q1, [{"check": "verify_pathdual_iso", "refs": ["q"],
+                                      "params": {"field": field}}]))
+    doc = parse_spec(doc_text(q1, [{"check": "verify_pathdual_iso", "refs": ["q"],
+                                    "params": {"field": "fp:101", "max_len": "1"}}]))
+    assert doc.checks[0].params == {"field": "fp:101", "max_len": 1}
+    assert run_document(doc).passed
