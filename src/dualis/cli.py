@@ -10,7 +10,8 @@ Verbs:
     coreflexive  evaluation-map bijectivity for a coalgebra
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 input error (bad file,
-bad reference, malformed block, unusable flag value).
+bad reference, malformed block, unusable flag value).  --trials, --max-dim,
+--radius and --bound take nonnegative integers only.
 """
 
 from __future__ import annotations
@@ -34,13 +35,24 @@ class InputError(Exception):
     """Anything that should exit with status 2."""
 
 
+def _nonnegative(text: str) -> int:
+    """argparse type of the count flags; anything else exits 2 at parse time."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return n
+
+
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", default=None, metavar="q|fp:<p>",
                         help="ground field, where the verb takes one")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--radius", type=int, default=3)
-    common.add_argument("--bound", type=int, default=64)
+    common.add_argument("--radius", type=_nonnegative, default=3)
+    common.add_argument("--bound", type=_nonnegative, default=64)
     common.add_argument("--json", action="store_true",
                         help="emit the machine report instead of text")
 
@@ -62,9 +74,9 @@ def _parser() -> argparse.ArgumentParser:
     suite.add_argument("name", choices=["paper-theorems", "randomized"])
     suite.add_argument("--out", metavar="PATH")
     suite.add_argument("--timings", action="store_true")
-    suite.add_argument("--trials", type=int, default=50,
+    suite.add_argument("--trials", type=_nonnegative, default=50,
                        help="randomized suite: trials per property")
-    suite.add_argument("--max-dim", type=int, default=4,
+    suite.add_argument("--max-dim", type=_nonnegative, default=4,
                        help="randomized suite: instance dimension cap")
 
     for verb, what in (("dualize", "algebra or coalgebra"),

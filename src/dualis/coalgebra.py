@@ -166,19 +166,15 @@ def counital_lift(f: CoalgebraMorphism, C1: FinCoalgebra, proj: CoalgebraMorphis
             ent[(proj.matrix.rows, j)] = v
     stacked = SparseMatrix(F, proj.matrix.rows + 1, n, ent)
     freedom = len(stacked.kernel_basis()) * D.dim
-    cols = {}
+    cols = []
     for k, fk in enumerate(f.matrix.columns()):
         rhs = dense_vec(F, f.matrix.rows, fk) + (D.counit[k],)
         sol = stacked.solve(rhs)
         if sol is None:
             raise ValidationError("lift constraints are inconsistent")
-        cols[k] = sol
-    ent = {}
-    for k, col in cols.items():
-        for i, v in enumerate(col):
-            if not F.is_zero(v):
-                ent[(i, k)] = v
-    g = CoalgebraMorphism(D, C1, SparseMatrix(F, n, D.dim, ent), counital=True)
+        cols.append(sol)
+    g = CoalgebraMorphism(D, C1, SparseMatrix.from_rows(F, cols, n).transpose(),
+                          counital=True)
     if proj.matrix @ g.matrix != f.matrix:
         raise ValidationError("lift does not project back to f")
     return g, freedom
@@ -277,7 +273,6 @@ def subcoalgebra_on_span(C: FinCoalgebra, vectors) -> tuple[FinCoalgebra, Coalge
     F = C.field
     rs = RowSpace(F, C.dim, vectors)
     basis = rs.basis()
-    d = len(basis)
     comult = {}
     for a, vec in enumerate(basis):
         tensor = C.comult_of(vec)
@@ -301,13 +296,8 @@ def subcoalgebra_on_span(C: FinCoalgebra, vectors) -> tuple[FinCoalgebra, Coalge
     counit = None
     if C.counit is not None:
         counit = tuple(C.counit_of(v) for v in basis)
-    D = FinCoalgebra(F, d, comult, counit)
-    ent = {}
-    for a, vec in enumerate(basis):
-        for i, v in enumerate(vec):
-            if not F.is_zero(v):
-                ent[(i, a)] = v
-    incl = CoalgebraMorphism(D, C, SparseMatrix(F, C.dim, d, ent),
+    D = FinCoalgebra(F, len(basis), comult, counit)
+    incl = CoalgebraMorphism(D, C, SparseMatrix.from_rows(F, basis, C.dim).transpose(),
                              counital=counit is not None and C.counit is not None)
     return D, incl
 
@@ -333,12 +323,7 @@ def coradical(C: FinCoalgebra) -> tuple[FinCoalgebra, CoalgebraMorphism]:
     the dual algebra."""
     F = C.field
     rad = radical(dual_algebra(C))
-    ent = {}
-    for r, f in enumerate(rad.basis):
-        for j, v in enumerate(f):
-            if not F.is_zero(v):
-                ent[(r, j)] = v
-    M = SparseMatrix(F, len(rad.basis), C.dim, ent)
+    M = SparseMatrix.from_rows(F, rad.basis, C.dim)
     vectors = M.kernel_basis() if rad.basis else [basis_vec(F, C.dim, i) for i in range(C.dim)]
     D, incl = subcoalgebra_on_span(C, vectors)
     # spot-check: subcoalgebras generated inside the socle stay inside it

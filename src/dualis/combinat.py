@@ -506,6 +506,8 @@ def semiperfect_check(template, side: str, radius: int, bound: int,
     left semiperfect finitely many starting; walk the template and certify."""
     if side not in ("left", "right"):
         raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
+    if radius < 0 or bound < 0:
+        raise ValidationError(f"radius and bound must be nonnegative, got {radius} and {bound}")
     forward = side == "left"
     counts = []
     for v in template.vertices_within(radius):

@@ -182,12 +182,7 @@ def subcomodule_on_span(M: FinComodule, vectors) -> tuple[FinComodule, SparseMat
         if table:
             coaction[a] = table
     sub = FinComodule(C, len(basis), coaction)
-    ent = {}
-    for a, w in enumerate(basis):
-        for i, v in enumerate(w):
-            if not F.is_zero(v):
-                ent[(i, a)] = v
-    return sub, SparseMatrix(F, M.dim, len(basis), ent)
+    return sub, SparseMatrix.from_rows(F, basis, M.dim).transpose()
 
 
 def subcomodule_generated(M: FinComodule, x: tuple) -> tuple[FinComodule, SparseMatrix]:
@@ -209,30 +204,20 @@ def subcomodule_generated(M: FinComodule, x: tuple) -> tuple[FinComodule, Sparse
 # lattice agreement
 
 def _all_subspaces_gf2(dim: int):
-    """Every subspace of GF(2)^dim as a list of spanning vectors (dim <= 4)."""
-    vecs = []
-    for mask in range(1, 1 << dim):
-        vecs.append(tuple((mask >> i) & 1 for i in range(dim)))
-
-    def span_of(gens):
-        seen = {(0,) * dim}
-        frontier = [(0,) * dim]
-        while frontier:
-            v = frontier.pop()
-            for g in gens:
-                w = tuple((a + b) % 2 for a, b in zip(v, g))
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return frozenset(seen)
-
-    spaces = {frozenset({(0,) * dim}): []}
-    for r in range(1, dim + 1):
-        for gens in itertools.combinations(vecs, r):
-            key = span_of(gens)
-            if key not in spaces:
-                spaces[key] = list(gens)
-    return list(spaces.values())
+    """Every subspace of GF(2)^dim, each by its reduced echelon basis: one
+    per set of pivot columns and 0/1 filling of the entries that lie right
+    of a row's pivot and outside every pivot column."""
+    spaces = []
+    for k in range(dim + 1):
+        for pivots in itertools.combinations(range(dim), k):
+            free = [(r, j) for r, pc in enumerate(pivots)
+                    for j in range(pc + 1, dim) if j not in pivots]
+            for bits in itertools.product((0, 1), repeat=len(free)):
+                rows = [[int(j == pc) for j in range(dim)] for pc in pivots]
+                for (r, j), bit in zip(free, bits):
+                    rows[r][j] = bit
+                spaces.append([tuple(row) for row in rows])
+    return spaces
 
 
 def _random_subspace(F: Field, dim: int, rng: random.Random):

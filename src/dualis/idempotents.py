@@ -251,18 +251,13 @@ def complete_primitive_idempotents(B: FinAlgebra) -> tuple[list, list]:
 def _section_of(P: SparseMatrix) -> SparseMatrix:
     """A right inverse of a surjective matrix (free coordinates zero)."""
     F = P.field
-    cols = {}
+    cols = []
     for j in range(P.rows):
         sol = P.solve(basis_vec(F, P.rows, j))
         if sol is None:
             raise ValidationError("matrix is not surjective")
-        cols[j] = sol
-    ent = {}
-    for j, col in cols.items():
-        for i, v in enumerate(col):
-            if not F.is_zero(v):
-                ent[(i, j)] = v
-    return SparseMatrix(F, P.cols, P.rows, ent)
+        cols.append(sol)
+    return SparseMatrix.from_rows(F, cols, P.cols).transpose()
 
 
 def verify_family(B: FinAlgebra, family, require_primitive: bool = True) -> list:

@@ -2,11 +2,13 @@
 
 Sparse vectors, tensors and structure tables are {key: nonzero scalar}
 dicts, and every module updates them through one kernel: axpy, bilinear
-and prune.  Matrices store only nonzero entries.  Elimination pivots on the first
-nonzero entry in a row-major scan, so every result is deterministic; there
-are no magnitude-based choices to make in exact arithmetic.  A dense
-elimination path is used internally when fill-in passes 50%, with output
-identical to the sparse path.
+and prune.  Matrices store only nonzero entries.  All elimination goes
+through RowSpace, which keeps the unique reduced row echelon form of the
+vectors added so far: closures, spans and intersections grow one, and
+SparseMatrix rank, kernel, solve and inverse read the one built from their
+rows.  A row's pivot is its first nonzero entry once the earlier pivots are
+cleared, so every result is deterministic; there are no magnitude-based
+choices to make in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -90,74 +92,6 @@ def prune(F: Field, table: dict) -> dict:
         if keep:
             out[key] = keep
     return out
-
-
-# ---------------------------------------------------------------------------
-# reduced row echelon form
-
-def _rref_rows(F: Field, rows: list[dict], ncols: int):
-    """RREF of rows given as {col: nonzero scalar} dicts.
-
-    Returns (reduced nonzero rows, pivot column list).  Pivot choice is the
-    first row in order holding a nonzero in the leftmost unfinished column.
-    """
-    rows = [dict(r) for r in rows]
-    nnz = sum(len(r) for r in rows)
-    if rows and ncols and nnz * 2 > len(rows) * ncols:
-        return _rref_dense(F, rows, ncols)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if c in rows[i]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = {j: F.mul(inv, v) for j, v in rows[r].items()}
-        lead = rows[r]
-        for i in range(len(rows)):
-            if i != r and c in rows[i]:
-                axpy(F, rows[i], F.neg(rows[i][c]), lead)
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def _rref_dense(F: Field, rows: list[dict], ncols: int):
-    """Dense twin of _rref_rows; same pivot rule, same output."""
-    zero = F.zero
-    m = [[r.get(j, zero) for j in range(ncols)] for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(m)):
-            if not F.is_zero(m[i][c]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = F.inv(m[r][c])
-        m[r] = [F.mul(inv, v) for v in m[r]]
-        for i in range(len(m)):
-            if i != r and not F.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    out = []
-    for i in range(r):
-        out.append({j: v for j, v in enumerate(m[i]) if not F.is_zero(v)})
-    return out, pivots
 
 
 @dataclass(frozen=True)
@@ -261,21 +195,20 @@ class SparseMatrix:
     # -- elimination-backed queries -------------------------------------------
 
     def rank(self) -> int:
-        _, pivots = _rref_rows(self.field, self._row_dicts(), self.cols)
-        return len(pivots)
+        return RowSpace(self.field, self.cols, self._row_dicts()).dim
 
     def kernel_basis(self) -> list[tuple]:
         """Basis of the right null space, rows in reduced echelon order."""
         F = self.field
-        red, pivots = _rref_rows(F, self._row_dicts(), self.cols)
-        pivot_set = set(pivots)
+        rs = RowSpace(F, self.cols, self._row_dicts())
+        pivot_set = set(rs._pivots)
         free = [c for c in range(self.cols) if c not in pivot_set]
         basis = []
         for fc in free:
             v = [F.zero] * self.cols
             v[fc] = F.one
-            for r, pc in enumerate(pivots):
-                coeff = red[r].get(fc, F.zero)
+            for pc, row in zip(rs._pivots, rs._rows):
+                coeff = row.get(fc, F.zero)
                 if not F.is_zero(coeff):
                     v[pc] = F.neg(coeff)
             basis.append(tuple(v))
@@ -290,12 +223,12 @@ class SparseMatrix:
         for i, bi in enumerate(b):
             if not F.is_zero(bi):
                 rows[i][self.cols] = bi
-        red, pivots = _rref_rows(F, rows, self.cols + 1)
+        rs = RowSpace(F, self.cols + 1, rows)
         x = [F.zero] * self.cols
-        for r, pc in enumerate(pivots):
+        for pc, row in zip(rs._pivots, rs._rows):
             if pc == self.cols:
                 return None
-            x[pc] = red[r].get(self.cols, F.zero)
+            x[pc] = row.get(self.cols, F.zero)
         return tuple(x)
 
     def tensor(self, other: "SparseMatrix") -> "SparseMatrix":
@@ -318,11 +251,11 @@ class SparseMatrix:
         rows = self._row_dicts()
         for i in range(n):
             rows[i][n + i] = F.one
-        red, pivots = _rref_rows(F, rows, 2 * n)
-        if pivots[:n] != list(range(n)):
+        rs = RowSpace(F, 2 * n, rows)
+        if rs._pivots[:n] != list(range(n)):
             raise DimensionMismatch("matrix is singular")
         ent = {}
-        for i, row in enumerate(red):
+        for i, row in enumerate(rs._rows):
             for j, v in row.items():
                 if j >= n:
                     ent[(i, j - n)] = v
@@ -330,7 +263,7 @@ class SparseMatrix:
 
 
 # ---------------------------------------------------------------------------
-# incremental row spaces (the engine behind all fixpoint closures)
+# incremental row spaces: the one elimination engine
 
 class RowSpace:
     """A subspace of F^n kept in reduced echelon form, grown one vector at a time.

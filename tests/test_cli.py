@@ -124,6 +124,36 @@ def test_suite_verb(capsys):
     assert main(["suite", "randomized", "--field", "fp:banana"]) == 2
 
 
+def _exit_code(argv) -> int:
+    """main's return value, or the status of a parse-time exit."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["semiperfect", "ray", "--side", "left", "--radius", "-3"],
+    ["semiperfect", "ray", "--bound", "-1"],
+    ["suite", "randomized", "--trials", "-5"],
+    ["suite", "randomized", "--max-dim", "-1"],
+    ["suite", "randomized", "--trials", "x"],
+    ["semiperfect", "loop", "--radius", "1.5"],
+], ids=["radius", "bound", "trials", "max-dim", "trials-not-int", "radius-not-int"])
+def test_negative_count_flags_exit_two_before_any_work(argv, capsys):
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nonnegative integer" in captured.err
+
+
+def test_zero_count_flags_keep_their_meaning(capsys):
+    assert main(["semiperfect", "ray", "--side", "right", "--radius", "0",
+                 "--bound", "0"]) == 1
+    assert "fails at radius 0, bound 0" in capsys.readouterr().out
+    assert main(["suite", "randomized", "--trials", "0", "--max-dim", "0"]) == 0
+
+
 def test_dualize_both_directions(spec_path, capsys):
     assert main(["dualize", spec_path, "--object", "mat2", "--json"]) == 0
     block = json.loads(capsys.readouterr().out)

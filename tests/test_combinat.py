@@ -172,6 +172,12 @@ def test_semiperfect_ray():
     assert left.vertex == 0
 
 
+def test_semiperfect_rejects_negative_radius_or_bound():
+    for radius, bound in ((-3, 64), (3, -1)):
+        with pytest.raises(ValidationError):
+            semiperfect_check(RayTemplate(), "left", radius, bound)
+
+
 def test_semiperfect_line_fails_both():
     line = LineTemplate()
     for side in ("left", "right"):

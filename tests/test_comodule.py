@@ -11,6 +11,7 @@ from dualis.comodule import (
     comodule_to_dual_module,
     is_subcomodule,
     is_submodule,
+    _all_subspaces_gf2,
     lattice_agreement_check,
     module_to_comodule,
     subcomodule_generated,
@@ -148,6 +149,30 @@ def test_lattice_agreement_exhaustive_gf2():
     big = regular_comodule(comatrix(GF(2), 2))
     report = lattice_agreement_check(big)
     assert report["checked"] == 67
+
+
+def _gaussian_binomial_2(n, k):
+    num = den = 1
+    for i in range(k):
+        num *= 2 ** (n - i) - 1
+        den *= 2 ** (i + 1) - 1
+    return num // den
+
+
+def test_all_subspaces_gf2_are_each_subspace_once():
+    for n in range(5):
+        spaces = _all_subspaces_gf2(n)
+        for k in range(n + 1):
+            assert sum(len(gens) == k for gens in spaces) == _gaussian_binomial_2(n, k)
+        # the set of all vectors in each span, closed by brute force
+        spans = set()
+        for gens in spaces:
+            span = {(0,) * n}
+            for g in gens:
+                span |= {tuple((a + b) % 2 for a, b in zip(v, g)) for v in span}
+            assert len(span) == 2 ** len(gens)  # the generators are independent
+            spans.add(frozenset(span))
+        assert len(spans) == len(spaces)
 
 
 def test_lattice_agreement_sampled_rational():

@@ -11,8 +11,6 @@ from dualis.idempotents import _from_sympy_coeffs, _to_sympy_poly
 from dualis.linalg import (
     RowSpace,
     SparseMatrix,
-    _rref_dense,
-    _rref_rows,
     axpy,
     bilinear,
     intersect_spans,
@@ -82,24 +80,120 @@ def test_tensor_index_convention():
     assert T.entries[(3, 1)] == F(5)
 
 
-def test_dense_and_sparse_rref_agree_seeded():
-    rng = random.Random(20260815)
-    for field in (QQ, GF(101)):
-        for _ in range(60):
-            r = rng.randrange(0, 5)
-            c = rng.randrange(1, 6)
-            rows = []
-            for _ in range(r):
-                row = {}
-                for j in range(c):
-                    if rng.random() < 0.6:
-                        v = field.from_int(rng.randrange(-4, 5))
-                        if not field.is_zero(v):
-                            row[j] = v
-                rows.append(row)
-            a = _rref_rows(field, rows, c)
-            b = _rref_dense(field, rows, c)
-            assert a == b
+# ---------------------------------------------------------------------------
+# elimination against a plain dense Gauss-Jordan on Fraction / int-mod-p
+# arithmetic, which shares no code with dualis
+
+def _gauss_jordan(p, rows, ncols):
+    """Reduced row echelon rows and pivot columns over Q (p = 0) or F_p."""
+    norm = (lambda x: x % p) if p else Fraction
+    inv = (lambda x: pow(x, -1, p)) if p else (lambda x: 1 / x)
+    m = [[norm(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        s = inv(m[r][c])
+        m[r] = [norm(s * x) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [norm(a - f * b) for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def _oracle(p, rows, ncols, b):
+    """(rank, kernel basis, solution of Mx = b or None, inverse rows or None)."""
+    norm = (lambda x: x % p) if p else Fraction
+    red, pivots = _gauss_jordan(p, rows, ncols)
+    rank = len(pivots)
+    kernel = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            v = [norm(0)] * ncols
+            v[fc] = norm(1)
+            for r, pc in enumerate(pivots):
+                v[pc] = norm(-red[r][fc])
+            kernel.append(tuple(v))
+    red, pivots = _gauss_jordan(p, [row + [bi] for row, bi in zip(rows, b)], ncols + 1)
+    x = None
+    if ncols not in pivots:
+        x = [norm(0)] * ncols
+        for r, pc in enumerate(pivots):
+            x[pc] = red[r][ncols]
+        x = tuple(x)
+    inverse = None
+    n = len(rows)
+    if n == ncols:
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        red, pivots = _gauss_jordan(p, [row + e for row, e in zip(rows, eye)], 2 * n)
+        if pivots[:n] == list(range(n)):
+            inverse = [row[n:] for row in red]
+    return rank, kernel, x, inverse
+
+
+def _elimination_cases(p, rng):
+    """Integer matrices (rows, ncols): empty, zero, single-column, rank-deficient
+    and singular ones by construction, then random shapes and densities."""
+    def rand(r, c, density=0.6):
+        return [[rng.randrange(-4, 5) if rng.random() < density else 0 for _ in range(c)]
+                for _ in range(r)]
+
+    def product(r, k, c):
+        A, B = rand(r, k, 1), rand(k, c, 1)
+        return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(c)] for i in range(r)]
+
+    cases = [([], 0), ([], 3), ([[], [], []], 0), ([[0] * 4 for _ in range(3)], 4),
+             ([[1], [2], [3]], 1), ([[0], [0]], 1), ([[1, 2], [2, 4]], 2)]
+    for _ in range(20):
+        cases.append((rand(rng.randrange(1, 6), 1), 1))
+        n = rng.randrange(2, 6)
+        cases.append((rand(n, n, 1), n))
+        singular = rand(n, n)
+        singular[0] = [a + b for a, b in zip(singular[1], singular[-1])]
+        cases.append((singular, n))
+        r, c = rng.randrange(2, 7), rng.randrange(2, 7)
+        cases.append((product(r, rng.randrange(1, min(r, c)), c), c))
+    for _ in range(80):
+        r, c = rng.randrange(0, 7), rng.randrange(0, 7)
+        cases.append((rand(r, c, rng.random()), c))
+    return cases
+
+
+def test_elimination_matches_dense_gauss_jordan_seeded():
+    kinds = {"rank-deficient": 0, "singular": 0, "invertible": 0, "inconsistent": 0}
+    for field in (QQ, GF(2), GF(101)):
+        p = field.characteristic
+        rng = random.Random(f"elimination:{field.name()}")
+        for rows, ncols in _elimination_cases(p, rng):
+            M = SparseMatrix.from_rows(field, [[field.from_int(x) for x in row] for row in rows],
+                                       ncols)
+            x0 = [rng.randrange(-4, 5) for _ in range(ncols)]
+            consistent = [sum(a * b for a, b in zip(row, x0)) for row in rows]
+            arbitrary = [rng.randrange(-4, 5) for _ in rows]
+            for b in (consistent, arbitrary):
+                rank, kernel, x, inverse = _oracle(p, rows, ncols, b)
+                assert M.rank() == rank, (field, rows)
+                assert M.kernel_basis() == kernel, (field, rows)
+                assert M.solve(tuple(field.from_int(v) for v in b)) == x, (field, rows, b)
+                assert x is not None or b is arbitrary
+            kinds["inconsistent"] += x is None
+            kinds["rank-deficient"] += rank < min(len(rows), ncols)
+            if len(rows) != ncols:
+                continue
+            if inverse is None:
+                kinds["singular"] += 1
+                with pytest.raises(DimensionMismatch):
+                    M.inverse()
+            else:
+                kinds["invertible"] += 1
+                got = M.inverse()
+                assert got == SparseMatrix.from_rows(field, inverse, ncols), (field, rows)
+    assert all(count >= 10 for count in kinds.values()), kinds
 
 
 def test_rank_nullity_property_seeded():

@@ -1,0 +1,50 @@
+"""Elimination invariants as hypothesis properties, over Q, F_2 and F_101.
+
+Skipped when hypothesis is not installed (it is the ``test`` extra).
+"""
+
+import pytest
+
+from dualis.errors import DimensionMismatch
+from dualis.fields import GF, QQ
+from dualis.linalg import SparseMatrix
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+@st.composite
+def systems(draw):
+    """A field, a matrix over it, a vector x0 and a right-hand side b."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(101)]))
+    r = draw(st.integers(0, 5))
+    c = draw(st.integers(0, 5))
+    scalar = st.integers(-4, 4).map(field.from_int)
+    rows = draw(st.lists(st.lists(scalar, min_size=c, max_size=c), min_size=r, max_size=r))
+    x0 = tuple(draw(st.lists(scalar, min_size=c, max_size=c)))
+    b = tuple(draw(st.lists(scalar, min_size=r, max_size=r)))
+    return field, SparseMatrix.from_rows(field, rows, c), x0, b
+
+
+@hypothesis.settings(max_examples=300, deadline=2000, derandomize=True, database=None)
+@hypothesis.given(systems())
+def test_rank_nullity_kernel_solve_and_inverse(system):
+    field, M, x0, b = system
+    kernel = M.kernel_basis()
+    assert M.rank() + len(kernel) == M.cols
+    zero = (field.zero,) * M.rows
+    for k in kernel:
+        assert M.apply(k) == zero
+    reachable = M.apply(x0)
+    x = M.solve(reachable)
+    assert x is not None and M.apply(x) == reachable
+    x = M.solve(b)
+    if x is not None:
+        assert M.apply(x) == b
+    if M.rows == M.cols:
+        if M.rank() == M.rows:
+            I = SparseMatrix.identity(field, M.rows)
+            assert M.inverse() @ M == I and M @ M.inverse() == I
+        else:
+            with pytest.raises(DimensionMismatch):
+                M.inverse()
