@@ -8,7 +8,7 @@ adjoining one is the job of unitalize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import (
     DimensionMismatch,
@@ -29,32 +29,46 @@ from .linalg import (
 )
 
 
-def check_associative(F: Field, mult: dict, dim: int) -> None:
-    """Raise unless the table is associative.
+def check_associative(F: Field, mult: dict, action: dict) -> None:
+    """Raise unless (b_i b_j) m_t = b_i (b_j m_t) on every basis triple.
 
-    Only triples where one side can be nonzero are visited, so monomial-type
-    tables stay cheap.
+    action[(i,t)][s] is the coefficient of m_s in b_i m_t: the algebra's own
+    mult for associativity, a module's action for the module axiom.  Only
+    triples where one side can be nonzero are visited, in sorted order, so
+    monomial-type tables stay cheap.
     """
-    right_of: dict[int, set] = {}
-    left_of: dict[int, set] = {}
-    for (i, j) in mult:
-        right_of.setdefault(i, set()).add(j)
-        left_of.setdefault(j, set()).add(i)
-    triples = set()
-    for (i, j), terms in mult.items():
-        for l in terms:
-            for k in right_of.get(l, ()):
-                triples.add((i, j, k))
-    for (j, k), terms in mult.items():
-        for l in terms:
-            for i in left_of.get(l, ()):
-                triples.add((i, j, k))
-    one = F.one
-    for (i, j, k) in triples:
-        lhs = bilinear(F, mult, mult.get((i, j), {}), {k: one})
-        rhs = bilinear(F, mult, {i: one}, mult.get((j, k), {}))
+    acts_on: dict[int, set] = {}
+    acted_on_by: dict[int, set] = {}
+    for (i, t) in action:
+        acts_on.setdefault(i, set()).add(t)
+        acted_on_by.setdefault(t, set()).add(i)
+    triples = {(i, j, t) for (i, j), prod in mult.items() for k in prod
+               for t in acts_on.get(k, ())}
+    triples |= {(i, j, t) for (j, t), terms in action.items() for s in terms
+                for i in acted_on_by.get(s, ())}
+    for (i, j, t) in sorted(triples):
+        lhs: dict = {}
+        for k, c in mult.get((i, j), {}).items():
+            axpy(F, lhs, c, action.get((k, t), {}))
+        rhs: dict = {}
+        for s, c in action.get((j, t), {}).items():
+            axpy(F, rhs, c, action.get((i, s), {}))
         if lhs != rhs:
-            raise ValidationError(f"associativity fails at basis triple ({i},{j},{k})")
+            raise ValidationError(f"associativity fails at basis triple ({i},{j},{t})")
+
+
+def multiples(F: Field, table: dict, n: int, side: str):
+    """v -> the products b_i v (side "left"), v b_i ("right") or both ("two")
+    over the basis b_0..b_{n-1}, under a multiplication or action table.  A
+    span holding them for each of its vectors is a sided ideal or submodule."""
+    units = [{i: F.one} for i in range(n)]
+
+    def images(v: dict):
+        if side != "right":
+            yield from (bilinear(F, table, e, v) for e in units)
+        if side != "left":
+            yield from (bilinear(F, table, v, e) for e in units)
+    return images
 
 
 @dataclass(frozen=True)
@@ -75,7 +89,7 @@ class FinAlgebra:
                 if not 0 <= k < self.dim:
                     raise DimensionMismatch(f"mult target {k} out of range")
         object.__setattr__(self, "mult", prune(F, self.mult))
-        check_associative(F, self.mult, self.dim)
+        check_associative(F, self.mult, self.mult)
         if self.unit is not None:
             u = tuple(self.unit)
             if len(u) != self.dim:
@@ -239,16 +253,10 @@ class SubspaceIdeal:
         if rs.dim != len(self.basis):
             raise ValidationError("ideal basis is linearly dependent")
         object.__setattr__(self, "basis", tuple(rs.basis()))
-        for v in self.basis:
-            vd = sparse_vec(F, v)
-            for i in range(A.dim):
-                e = {i: F.one}
-                if self.sided in ("left", "two"):
-                    if not rs.contains(bilinear(F, A.mult, e, vd)):
-                        raise ValidationError("subspace not closed under left multiplication")
-                if self.sided in ("right", "two"):
-                    if not rs.contains(bilinear(F, A.mult, vd, e)):
-                        raise ValidationError("subspace not closed under right multiplication")
+        for side in ("left", "right"):
+            if self.sided in (side, "two") and \
+                    not rs.closed_under(multiples(F, A.mult, A.dim, side)):
+                raise ValidationError(f"subspace not closed under {side} multiplication")
 
     @property
     def dim(self) -> int:
@@ -259,27 +267,10 @@ class SubspaceIdeal:
 
 
 def ideal_closure(A: FinAlgebra, seed_vectors, sided: str = "two") -> SubspaceIdeal:
-    """Smallest sided ideal containing the seed vectors (span fixpoint)."""
+    """Smallest sided ideal containing the seed vectors."""
     if sided not in ("left", "right", "two"):
         raise ValidationError(f"bad sidedness {sided!r}")
-    F = A.field
-    rs = RowSpace(F, A.dim)
-    queue = []
-    for v in seed_vectors:
-        if rs.add(v):
-            queue.append(sparse_vec(F, v))
-    while queue:
-        v = queue.pop()
-        for i in range(A.dim):
-            e = {i: F.one}
-            if sided in ("left", "two"):
-                w = bilinear(F, A.mult, e, v)
-                if rs.add(w):
-                    queue.append(w)
-            if sided in ("right", "two"):
-                w = bilinear(F, A.mult, v, e)
-                if rs.add(w):
-                    queue.append(w)
+    rs = RowSpace(A.field, A.dim, seed_vectors).close(multiples(A.field, A.mult, A.dim, sided))
     return SubspaceIdeal(A, tuple(rs.basis()), sided)
 
 

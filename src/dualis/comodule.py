@@ -6,7 +6,10 @@ finite-dimensional coalgebra the two pictures are transposes of each other,
 and the subspace lattices agree; lattice_agreement_check makes that an
 executable statement.  FinComodule checks its axioms through the dual:
 coassociativity and the counit law are module associativity and the unit
-law of the transposed action over the dual algebra.
+law of the transposed action over the dual algebra; module associativity
+is algebra.check_associative run on the action.  Sub-objects are spans
+closed under linear maps (the coaction columns, the action of each basis
+element), so RowSpace.close builds them and RowSpace.closed_under tests them.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .algebra import FinAlgebra
+from .algebra import FinAlgebra, check_associative, multiples
 from .coalgebra import FinCoalgebra, counitalize, dual_algebra, dual_coalgebra
 from .errors import DimensionMismatch, ValidationError
 from .fields import Field
@@ -70,25 +73,7 @@ class FinModule:
                 if not 0 <= s < self.dim:
                     raise DimensionMismatch(f"action target {s} out of range")
         object.__setattr__(self, "action", prune(F, self.action))
-        # only triples where (a_i a_j) m_t or a_i (a_j m_t) can be nonzero
-        acts_on: dict[int, set] = {}
-        acted_on_by: dict[int, set] = {}
-        for (i, t) in self.action:
-            acts_on.setdefault(i, set()).add(t)
-            acted_on_by.setdefault(t, set()).add(i)
-        triples = {(i, j, t) for (i, j), prod in A.mult.items() for k in prod
-                   for t in acts_on.get(k, ())}
-        triples |= {(i, j, t) for (j, t), terms in self.action.items() for s in terms
-                    for i in acted_on_by.get(s, ())}
-        for (i, j, t) in sorted(triples):
-            lhs: dict = {}
-            for k, c in A.mult.get((i, j), {}).items():
-                axpy(F, lhs, c, self.action.get((k, t), {}))
-            rhs: dict = {}
-            for s, v in self.action.get((j, t), {}).items():
-                axpy(F, rhs, v, self.action.get((i, s), {}))
-            if lhs != rhs:
-                raise ValidationError(f"action not associative at ({i},{j},{t})")
+        check_associative(F, A.mult, self.action)
         if A.unit is not None:
             unit = sparse_vec(F, A.unit)
             for t in range(self.dim):
@@ -141,27 +126,21 @@ def module_to_comodule(N: FinModule) -> FinComodule:
 # ---------------------------------------------------------------------------
 # sub-objects
 
+def coaction_columns(M: FinComodule):
+    """w -> the columns (I (x) c^k) rho(w), one per coalgebra basis index k;
+    a span holding them for each of its vectors is a subcomodule."""
+    return lambda w: tensor_legs(M.coaction_of(w), 1).values()
+
+
 def is_subcomodule(M: FinComodule, vectors) -> bool:
     """Does the span satisfy rho(W) <= W (x) C?"""
-    C = M.coalgebra
-    F = C.field
-    rs = RowSpace(F, M.dim, vectors)
-    for w in rs.basis():
-        for col in tensor_legs(M.coaction_of(w), 1).values():
-            if not rs.contains(col):
-                return False
-    return True
+    return RowSpace(M.coalgebra.field, M.dim, vectors).closed_under(coaction_columns(M))
 
 
 def is_submodule(N: FinModule, vectors) -> bool:
-    F = N.algebra.field
-    rs = RowSpace(F, N.dim, vectors)
-    for w in rs.basis():
-        wd = sparse_vec(F, w)
-        for i in range(N.algebra.dim):
-            if not rs.contains(bilinear(F, N.action, {i: F.one}, wd)):
-                return False
-    return True
+    A = N.algebra
+    return RowSpace(A.field, N.dim, vectors).closed_under(
+        multiples(A.field, N.action, A.dim, "left"))
 
 
 def subcomodule_on_span(M: FinComodule, vectors) -> tuple[FinComodule, SparseMatrix]:
@@ -169,13 +148,13 @@ def subcomodule_on_span(M: FinComodule, vectors) -> tuple[FinComodule, SparseMat
     C = M.coalgebra
     F = C.field
     rs = RowSpace(F, M.dim, vectors)
+    if not rs.closed_under(coaction_columns(M)):
+        raise ValidationError("span is not a subcomodule")
     basis = rs.basis()
     coaction = {}
     for a, w in enumerate(basis):
         table = {}
         for k, col in tensor_legs(M.coaction_of(w), 1).items():
-            if not rs.contains(col):
-                raise ValidationError("span is not a subcomodule")
             for b, cb in enumerate(rs.coords(col)):
                 if not F.is_zero(cb):
                     table[(b, k)] = cb
@@ -187,16 +166,7 @@ def subcomodule_on_span(M: FinComodule, vectors) -> tuple[FinComodule, SparseMat
 
 def subcomodule_generated(M: FinComodule, x: tuple) -> tuple[FinComodule, SparseMatrix]:
     """Smallest subcomodule containing x: close under (I (x) f) . rho."""
-    C = M.coalgebra
-    F = C.field
-    rs = RowSpace(F, M.dim)
-    queue = []
-    if rs.add(x):
-        queue.append(x)
-    while queue:
-        for col in tensor_legs(M.coaction_of(queue.pop()), 1).values():
-            if rs.add(col):
-                queue.append(col)
+    rs = RowSpace(M.coalgebra.field, M.dim, [x]).close(coaction_columns(M))
     return subcomodule_on_span(M, rs.basis())
 
 

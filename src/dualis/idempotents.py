@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import FinAlgebra, SubspaceIdeal, quotient_algebra, radical
+from .algebra import FinAlgebra, quotient_algebra, radical
 from .errors import DecompositionFailed, UnsupportedCorner, ValidationError
 from .fields import Field
 from .linalg import (
@@ -193,14 +193,14 @@ def split_semisimple_unit(A: FinAlgebra) -> tuple[list, list]:
     return done, certs
 
 
-def newton_lift(A: FinAlgebra, x: tuple, max_iter: int | None = None) -> tuple:
-    """Lift an idempotent-mod-radical to an exact one: x <- 3x^2 - 2x^3."""
+def newton_lift(A: FinAlgebra, x: tuple) -> tuple:
+    """Lift an idempotent-mod-radical to an exact one: x <- 3x^2 - 2x^3,
+    giving up after dim + 2 steps."""
     F = A.field
     three = F.from_int(3)
     two = F.from_int(2)
     cur = x
-    steps = max_iter if max_iter is not None else A.dim + 2
-    for _ in range(steps):
+    for _ in range(A.dim + 2):
         sq = A.multiply(cur, cur)
         if sq == cur:
             return cur
@@ -260,7 +260,7 @@ def _section_of(P: SparseMatrix) -> SparseMatrix:
     return SparseMatrix.from_rows(F, cols, P.cols).transpose()
 
 
-def verify_family(B: FinAlgebra, family, require_primitive: bool = True) -> list:
+def verify_family(B: FinAlgebra, family) -> list:
     """Check a proposed complete orthogonal family; returns certificates.
 
     Primitivity is certified through corners of the semisimple quotient;
@@ -281,17 +281,12 @@ def verify_family(B: FinAlgebra, family, require_primitive: bool = True) -> list
             if any(not F.is_zero(v) for v in B.multiply(e, f)) or \
                any(not F.is_zero(v) for v in B.multiply(f, e)):
                 raise ValidationError("proposed family is not orthogonal")
+    Q, proj = quotient_algebra(B, radical(B))
     certs = []
-    if require_primitive:
-        rad = radical(B)
-        Q, proj = quotient_algebra(B, rad)
-        for e in family:
-            ebar = proj(tuple(e))
-            cert = _certify_primitive(Q, ebar)
-            if cert is None:
-                raise UnsupportedCorner(
-                    "cannot certify a proposed idempotent as primitive")
-            certs.append(cert)
-    else:
-        certs = ["unchecked"] * len(family)
+    for e in family:
+        cert = _certify_primitive(Q, proj(tuple(e)))
+        if cert is None:
+            raise UnsupportedCorner(
+                "cannot certify a proposed idempotent as primitive")
+        certs.append(cert)
     return certs

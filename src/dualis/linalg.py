@@ -4,11 +4,15 @@ Sparse vectors, tensors and structure tables are {key: nonzero scalar}
 dicts, and every module updates them through one kernel: axpy, bilinear
 and prune.  Matrices store only nonzero entries.  All elimination goes
 through RowSpace, which keeps the unique reduced row echelon form of the
-vectors added so far: closures, spans and intersections grow one, and
-SparseMatrix rank, kernel, solve and inverse read the one built from their
-rows.  A row's pivot is its first nonzero entry once the earlier pivots are
-cleared, so every result is deterministic; there are no magnitude-based
-choices to make in exact arithmetic.
+vectors added so far: spans and intersections grow one, and SparseMatrix
+rank, kernel, solve and inverse read the one built from their rows.  A
+row's pivot is its first nonzero entry once the earlier pivots are cleared,
+so every result is deterministic; there are no magnitude-based choices to
+make in exact arithmetic.
+
+RowSpace is also the one closure engine: ideals, subcoalgebras, one-sided
+coideals, subcomodules and submodules are spans closed under a family of
+linear maps, which close grows and closed_under tests.
 """
 
 from __future__ import annotations
@@ -263,12 +267,13 @@ class SparseMatrix:
 
 
 # ---------------------------------------------------------------------------
-# incremental row spaces: the one elimination engine
+# incremental row spaces: the one elimination and closure engine
 
 class RowSpace:
     """A subspace of F^n kept in reduced echelon form, grown one vector at a time.
 
-    Vectors may be given as tuples or as sparse {index: scalar} dicts.
+    Vectors may be given as tuples of length n or as sparse {index: scalar}
+    dicts with indices in range(n); anything else raises DimensionMismatch.
     """
 
     def __init__(self, F: Field, ambient: int, vectors=()):
@@ -287,7 +292,14 @@ class RowSpace:
         """Remainder of vec after clearing every pivot; when coords is given,
         the multiple of each basis row taken out is appended to it."""
         F = self.field
-        w = dict(vec) if isinstance(vec, dict) else sparse_vec(F, vec)
+        if isinstance(vec, dict):
+            if vec and (min(vec) < 0 or max(vec) >= self.ambient):
+                raise DimensionMismatch("vector index outside the ambient dimension")
+            w = dict(vec)
+        elif len(vec) != self.ambient:
+            raise DimensionMismatch("vector length != ambient dimension")
+        else:
+            w = sparse_vec(F, vec)
         for pc, row in zip(self._pivots, self._rows):
             c = w.get(pc)
             if c is not None:
@@ -304,8 +316,6 @@ class RowSpace:
 
     def add(self, vec) -> bool:
         """Insert vec; True if the dimension grew."""
-        if not isinstance(vec, dict) and len(vec) != self.ambient:
-            raise DimensionMismatch("vector length != ambient dimension")
         F = self.field
         w = self._reduce(vec)
         if not w:
@@ -323,6 +333,22 @@ class RowSpace:
         self._rows.insert(at, w)
         self._pivots.insert(at, pc)
         return True
+
+    def close(self, images) -> "RowSpace":
+        """Grow to the smallest space holding images(v) for every v in it;
+        returns self.  images maps a sparse vector to the vectors some
+        family of linear maps sends it to, so closing the basis suffices."""
+        # add reduces the kept rows in place, so the queue holds copies
+        queue = [dict(row) for row in self._rows]
+        while queue:
+            for w in images(queue.pop()):
+                if self.add(w):
+                    queue.append(sparse_vec(self.field, w))
+        return self
+
+    def closed_under(self, images) -> bool:
+        """Does the space hold images(v) for every v in it?"""
+        return all(self.contains(w) for row in self._rows for w in images(row))
 
     def basis(self) -> list[tuple]:
         return [dense_vec(self.field, self.ambient, row) for row in self._rows]

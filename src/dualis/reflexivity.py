@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .algebra import FinAlgebra
-from .coalgebra import CoalgebraMorphism, FinCoalgebra, dual_algebra, dual_coalgebra
+from .algebra import FinAlgebra, multiples
+from .coalgebra import CoalgebraMorphism, FinCoalgebra, delta_legs, dual_algebra, dual_coalgebra
 from .combinat import _count_walks, path_coalgebra, path_target, semiperfect_check
 from .comodule import FinComodule, FinModule, module_to_comodule
 from .errors import (
@@ -30,7 +30,7 @@ from .errors import (
 )
 from .fields import Field
 from .idempotents import complete_primitive_idempotents, verify_family
-from .linalg import RowSpace, SparseMatrix, axpy, bilinear, sparse_vec, tensor_legs, vec_add
+from .linalg import RowSpace, SparseMatrix, axpy, sparse_vec, vec_add
 
 
 @dataclass(frozen=True)
@@ -72,15 +72,9 @@ def _column_space(M: SparseMatrix) -> list:
 
 def _check_coideal(C: FinCoalgebra, basis: list, side: str) -> None:
     """Right blocks need delta(W) <= C (x) W, left blocks W (x) C."""
-    F = C.field
-    rs = RowSpace(F, C.dim)
-    for w in basis:
-        rs.add(w)
-    for w in basis:
-        for vec in tensor_legs(C.comult_of(w), 0 if side == "right" else 1).values():
-            if not rs.contains(vec):
-                raise ValidationError(
-                    f"{side} block is not a coideal on that side")
+    legs = delta_legs(C, (0,) if side == "right" else (1,))
+    if not RowSpace(C.field, C.dim, basis).closed_under(legs):
+        raise ValidationError(f"{side} block is not a coideal on that side")
 
 
 def decompose_injectives(C: FinCoalgebra, side: str = "right",
@@ -175,10 +169,7 @@ def rat_dual(C: FinCoalgebra,
     ideals = []
     whole = RowSpace(F, B.dim)
     for j, e in enumerate(dec.idempotents):
-        rs = RowSpace(F, B.dim)
-        ed = sparse_vec(F, e)
-        for i in range(B.dim):
-            rs.add(bilinear(F, B.mult, {i: F.one}, ed))
+        rs = RowSpace(F, B.dim, multiples(F, B.mult, B.dim, "left")(sparse_vec(F, e)))
         if rs.dim != len(dec.blocks[j]):
             raise ValidationError(
                 f"ideal B*e_{j} has dim {rs.dim}, block has {len(dec.blocks[j])}")

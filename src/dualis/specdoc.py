@@ -17,11 +17,11 @@ written.  Object blocks carry a "type" tag:
 Checks reference objects by name: {"check": ..., "refs": [name], "params": {}}.
 Every check takes one ref, of the kind CHECKS names, and the params its
 schema in CHECKS lists: each is converted to its type when the document is
-parsed, an absent or null one takes its default, and other keys are
-ignored.  Unknown check names raise UnknownCheck; missing, dangling or
-wrong-kind refs UnresolvedReference; malformed JSON SpecParseError with line
-and column, as do a dim above MAX_SPEC_DIM, a non-object "params" and a
-param value of the wrong type.
+parsed, and an absent or null one takes its default.  Unknown check names
+raise UnknownCheck; missing, dangling or wrong-kind refs
+UnresolvedReference; malformed JSON SpecParseError with line and column, as
+do a dim above MAX_SPEC_DIM, a non-object "params", a param key outside the
+check's schema and a param value of the wrong type.
 """
 
 from __future__ import annotations
@@ -261,8 +261,13 @@ def _parse_params(check: str, raw) -> dict:
     """The check's params, typed by its schema, with defaults filled in."""
     if not isinstance(raw, dict):
         raise SpecParseError(f"params of check {check!r} must be an object")
+    schema = CHECKS[check][2]
+    unknown = sorted(set(raw) - set(schema))
+    if unknown:
+        raise SpecParseError(f"check {check!r} has no param {unknown[0]!r}; "
+                             f"its params are {', '.join(schema) or 'none'}")
     params = {}
-    for name, (convert, default) in CHECKS[check][2].items():
+    for name, (convert, default) in schema.items():
         value = raw.get(name)
         try:
             params[name] = default if value is None else convert(value)

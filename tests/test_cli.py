@@ -102,12 +102,19 @@ def test_input_errors_exit_two(tmp_path, capsys):
             "objects": {"t": {"type": "quiver-template", "name": "ray"}},
             "checks": [{"check": "semiperfect", "refs": ["t"],
                         "params": {"radius": "x"}}]},
+        "a misspelt param": {
+            "objects": {"t": {"type": "quiver-template", "name": "loop"}},
+            "checks": [{"check": "semiperfect", "refs": ["t"],
+                        "params": {"expct": "fails"}}]},
     }
     for name, doc in hostile.items():
         p = tmp_path / "hostile.json"
         p.write_text(json.dumps(doc))
         assert main(["run", str(p)]) == 2, name
-        assert capsys.readouterr().err.startswith("error: "), name
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), name
+    # the last document's error names the misspelt key, then the schema
+    assert "'expct'" in err and "expect" in err.split("'expct'")[1]
     huge = {"objects": {"a": {"type": "algebra", "field": "q", "dim": "3000000"}}}
     p = tmp_path / "huge.json"
     p.write_text(json.dumps(huge))

@@ -258,6 +258,99 @@ def test_rowspace_incremental_matches_batch():
                 assert tuple(acc) == v
 
 
+def test_rowspace_rejects_vectors_outside_its_ambient_space():
+    rs = RowSpace(QQ, 3, [(F(1), F(0), F(0))])
+    outside = ({5: F(1)}, {-1: F(1)}, {3: F(1)}, (F(1), F(0)), (F(0),) * 4)
+    for method in (rs.add, rs.contains, rs.residual, rs.coords):
+        for vec in outside:
+            with pytest.raises(DimensionMismatch):
+                method(vec)
+    assert rs.dim == 1 and rs.basis() == [(F(1), F(0), F(0))]
+    assert rs.contains({}) and rs.contains({0: F(2)})
+    with pytest.raises(DimensionMismatch):
+        rs.close(lambda v: [{3: F(1)}])
+
+
+# ---------------------------------------------------------------------------
+# RowSpace.close and closed_under against a plain dense fixpoint
+
+def _apply(p, T, row):
+    """row * T over Q (p = 0) or F_p, as a list."""
+    norm = (lambda x: x % p) if p else Fraction
+    return [norm(sum(row[i] * T[i][j] for i in range(len(row)))) for j in range(len(T))]
+
+
+def _closure_oracle(p, seeds, maps, n):
+    """Reduced basis of the span of the seeds closed under the maps: apply
+    every map to every basis row until the basis stops changing."""
+    basis, _ = _gauss_jordan(p, seeds, n)
+    while True:
+        grown, _ = _gauss_jordan(p, basis + [_apply(p, T, v) for T in maps for v in basis], n)
+        if grown == basis:
+            return basis
+        basis = grown
+
+
+def _images(field, maps, n):
+    """v -> v * T for each T, alternately as a dense tuple and a sparse dict."""
+    def images(v):
+        dense = [v.get(i, field.zero) for i in range(n)]
+        for k, T in enumerate(maps):
+            w = [field.zero] * n
+            for i, vi in enumerate(dense):
+                for j in range(n):
+                    w[j] = field.add(w[j], field.mul(vi, field.from_int(T[i][j])))
+            yield tuple(w) if k % 2 else sparse_vec(field, w)
+    return images
+
+
+# companion matrix of x^4 + x + 1, irreducible over Q, F_2 and F_101, so
+# every nonzero vector generates the whole space
+_IRREDUCIBLE = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -1, 0, 0]]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101)], ids=["q", "fp2", "fp101"])
+def test_rowspace_close_and_closed_under_match_plain_fixpoint(field):
+    p = field.characteristic
+    rng = random.Random(f"closure:{field.name()}")
+
+    def rand_rows(k, n, density):
+        return [[rng.randrange(-3, 4) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(k)]
+
+    cases = []
+    for n in range(1, 6):
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        cases.append(([], [rand_rows(n, n, 0.5)], n))
+        cases.append(([[0] * n, [0] * n], [rand_rows(n, n, 0.7)], n))
+        cases.append((eye, [rand_rows(n, n, 0.5), rand_rows(n, n, 0.3)], n))
+        cases.append((rand_rows(1, n, 0.8), [], n))
+    cases += [([[0, 0, 1, 0]], [_IRREDUCIBLE], 4), (rand_rows(1, 4, 1.0), [_IRREDUCIBLE], 4)]
+    for _ in range(40):
+        n = rng.randrange(1, 7)
+        # nilpotent (strictly upper) maps have proper invariant subspaces
+        upper = [[x if j > i else 0 for j, x in enumerate(row)]
+                 for i, row in enumerate(rand_rows(n, n, 0.6))]
+        maps = rng.choice([[rand_rows(n, n, rng.random())], [upper],
+                           [upper, rand_rows(n, n, 0.2)]])
+        cases.append((rand_rows(rng.randrange(0, 3), n, rng.random()), maps, n))
+    closed_seen = {True: 0, False: 0}
+    for seeds, maps, n in cases:
+        want = _closure_oracle(p, seeds, maps, n)
+        vectors = [tuple(field.from_int(x) for x in row) for row in seeds]
+        rs = RowSpace(field, n, vectors)
+        start, _ = _gauss_jordan(p, seeds, n)
+        closed = rs.closed_under(_images(field, maps, n))
+        assert closed == (want == start), (field, seeds, maps)
+        closed_seen[closed] += 1
+        assert rs.close(_images(field, maps, n)) is rs
+        assert rs.basis() == [tuple(row) for row in want], (field, seeds, maps)
+        assert rs.closed_under(_images(field, maps, n))
+        if maps == [_IRREDUCIBLE] and any(x % p if p else x for row in seeds for x in row):
+            assert rs.dim == 4
+    assert min(closed_seen.values()) >= 10, closed_seen
+
+
 def test_intersect_spans():
     u = [(F(1), F(0), F(0)), (F(0), F(1), F(0))]
     w = [(F(0), F(1), F(0)), (F(0), F(0), F(1))]

@@ -184,10 +184,11 @@ def test_check_params_are_typed_at_parse_time():
         return doc.checks[0].params
 
     assert params_of({}) == {"side": "right", "radius": 3, "bound": 64, "expect": "holds"}
-    assert params_of({"radius": "2", "bound": 30, "expect": None, "extra": [1]}) == \
+    assert params_of({"radius": "2", "bound": 30, "expect": None}) == \
         {"side": "right", "radius": 2, "bound": 30, "expect": "holds"}
     for bad in (5, [], "radius", {"radius": "x"}, {"radius": -1}, {"radius": 2.5},
-                {"radius": True}, {"side": "up"}, {"expect": ["holds"]}):
+                {"radius": True}, {"side": "up"}, {"expect": ["holds"]},
+                {"radius": 2, "extra": [1]}, {"expct": "fails"}):
         with pytest.raises(SpecParseError):
             params_of(bad)
     q1 = {"q": {"type": "quiver", "vertices": [0, 1], "arrows": [[0, 1]]}}
