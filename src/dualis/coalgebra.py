@@ -271,21 +271,28 @@ def subcoalgebra_on_span(C: FinCoalgebra, vectors) -> tuple[FinCoalgebra, Coalge
     """Induced coalgebra on a span, or ValidationError if it is not closed."""
     F = C.field
     rs = RowSpace(F, C.dim, vectors)
-    if not rs.closed_under(delta_legs(C)):
-        raise ValidationError("span is not a subcoalgebra")
+
+    def coords(v):
+        out = rs.coords(v)
+        if out is None:
+            raise ValidationError("span is not a subcoalgebra")
+        return out
+
     basis = rs.basis()
     comult = {}
     for a, vec in enumerate(basis):
         rows = tensor_legs(C.comult_of(vec))
-        # rewrite the tensor in the sub-basis, first by rows then by columns
+        # rewrite the tensor in the sub-basis, first by rows then by columns;
+        # both succeed exactly when delta(vec) lies in W (x) W, since
+        # C (x) W meets W (x) C in W (x) W
         terms = {}
         for i, row in rows.items():
-            for b, cb in enumerate(rs.coords(row)):
+            for b, cb in enumerate(coords(row)):
                 if not F.is_zero(cb):
                     terms.setdefault(b, {})[i] = cb
         table = {}
         for b, by_i in terms.items():
-            for a2, ca in enumerate(rs.coords(by_i)):
+            for a2, ca in enumerate(coords(by_i)):
                 if not F.is_zero(ca):
                     table[(a2, b)] = ca
         if table:

@@ -148,14 +148,15 @@ def subcomodule_on_span(M: FinComodule, vectors) -> tuple[FinComodule, SparseMat
     C = M.coalgebra
     F = C.field
     rs = RowSpace(F, M.dim, vectors)
-    if not rs.closed_under(coaction_columns(M)):
-        raise ValidationError("span is not a subcomodule")
     basis = rs.basis()
     coaction = {}
     for a, w in enumerate(basis):
         table = {}
         for k, col in tensor_legs(M.coaction_of(w), 1).items():
-            for b, cb in enumerate(rs.coords(col)):
+            coords = rs.coords(col)
+            if coords is None:
+                raise ValidationError("span is not a subcomodule")
+            for b, cb in enumerate(coords):
                 if not F.is_zero(cb):
                     table[(b, k)] = cb
         if table:

@@ -4,11 +4,16 @@ Sparse vectors, tensors and structure tables are {key: nonzero scalar}
 dicts, and every module updates them through one kernel: axpy, bilinear
 and prune.  Matrices store only nonzero entries.  All elimination goes
 through RowSpace, which keeps the unique reduced row echelon form of the
-vectors added so far: spans and intersections grow one, and SparseMatrix
-rank, kernel, solve and inverse read the one built from their rows.  A
-row's pivot is its first nonzero entry once the earlier pivots are cleared,
-so every result is deterministic; there are no magnitude-based choices to
-make in exact arithmetic.
+vectors added so far: spans grow one, intersections read one built on
+twice the columns (Zassenhaus), and SparseMatrix rank, kernel, solve and
+inverse read the one built from their rows.  A row's pivot is its first
+nonzero entry once the earlier pivots are cleared, so every result is
+deterministic; there are no magnitude-based choices to make in exact
+arithmetic.
+
+Elimination is fraction-free: over Q a RowSpace keeps integer rows over one
+shared denominator and divides by it exactly (Bareiss), and over F_p the
+same loop runs on residues.  Fractions appear only when the form is read.
 
 RowSpace is also the one closure engine: ideals, subcoalgebras, one-sided
 coideals, subcomodules and submodules are spans closed under a family of
@@ -17,7 +22,10 @@ linear maps, which close grows and closed_under tests.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
+from math import lcm
 
 from .errors import DimensionMismatch
 from .fields import Field
@@ -269,77 +277,147 @@ class SparseMatrix:
 # ---------------------------------------------------------------------------
 # incremental row spaces: the one elimination and closure engine
 
+def _submul(acc: dict, c: int, x: dict) -> None:
+    """acc -= c * x in place on integers, dropping entries that become zero:
+    the one elimination step, over Q and (before reduction mod p) F_p."""
+    for j, v in x.items():
+        s = acc.get(j, 0) - c * v
+        if s:
+            acc[j] = s
+        else:
+            del acc[j]
+
+
+def _ratio(v: int, d: int):
+    """v / d as a canonical rational: an int when d divides v."""
+    q, r = divmod(v, d)
+    return Fraction(v, d) if r else q
+
+
 class RowSpace:
     """A subspace of F^n kept in reduced echelon form, grown one vector at a time.
 
     Vectors may be given as tuples of length n or as sparse {index: scalar}
     dicts with indices in range(n); anything else raises DimensionMismatch.
+
+    The form is kept fraction-free: integer rows _num over one positive
+    integer _den, every pivot entry equal to _den, so that row i of the
+    reduced echelon form is _num[i] / _den.  Over Q, _den is |det| of the
+    pivot block of the vectors that grew the space, each scaled to integers
+    by the lcm of its denominators, and each entry of _num is a minor of
+    those vectors (Cramer's rule).  Growing the space multiplies the rows by
+    the new pivot and divides by the old _den, and that division is exact
+    (Sylvester's identity; Bareiss, Math. Comp. 22, 1968).  Over F_p, _den
+    stays 1: a new row is scaled by the inverse of its pivot.
     """
 
     def __init__(self, F: Field, ambient: int, vectors=()):
         self.field = F
         self.ambient = ambient
-        self._rows: list[dict] = []   # sorted by pivot column, each fully reduced
+        self._num: list[dict] = []   # sorted by pivot column, each fully reduced
         self._pivots: list[int] = []
+        self._den = 1
+        self._rref: list[dict] | None = None
         for v in vectors:
             self.add(v)
 
     @property
     def dim(self) -> int:
-        return len(self._rows)
+        return len(self._pivots)
 
-    def _reduce(self, vec, coords: list | None = None) -> dict:
-        """Remainder of vec after clearing every pivot; when coords is given,
-        the multiple of each basis row taken out is appended to it."""
+    @property
+    def _rows(self) -> list[dict]:
+        """The reduced echelon rows _num / _den, cached until the next add."""
+        if self._rref is None:
+            d = self._den
+            self._rref = self._num if d == 1 else [
+                {j: _ratio(v, d) for j, v in row.items()} for row in self._num]
+        return self._rref
+
+    def _reduce(self, vec) -> tuple[dict, int, dict]:
+        """(x, scale, w): vec as a sparse dict x, the lcm of its denominators,
+        and w = _den * y - sum of y[pc] * row for y = scale * x.  The rows are
+        fully reduced, so vec is in the space exactly when w is empty, and
+        its coordinates in basis() are then x at the pivots."""
         F = self.field
         if isinstance(vec, dict):
             if vec and (min(vec) < 0 or max(vec) >= self.ambient):
                 raise DimensionMismatch("vector index outside the ambient dimension")
-            w = dict(vec)
+            x = vec
         elif len(vec) != self.ambient:
             raise DimensionMismatch("vector length != ambient dimension")
         else:
-            w = sparse_vec(F, vec)
-        for pc, row in zip(self._pivots, self._rows):
-            c = w.get(pc)
-            if c is not None:
-                axpy(F, w, F.neg(c), row)
-            if coords is not None:
-                coords.append(F.zero if c is None else c)
-        return w
+            x = sparse_vec(F, vec)
+        p = F.characteristic
+        scale, y = 1, x
+        if not p and any(type(v) is not int for v in x.values()):
+            scale = lcm(*(v.denominator for v in x.values()))
+            y = {j: v.numerator * (scale // v.denominator) for j, v in x.items()}
+        d = self._den
+        w = dict(y) if d == 1 else {j: d * v for j, v in y.items()}
+        for pc, row in zip(self._pivots, self._num):
+            c = y.get(pc)
+            if c:
+                _submul(w, c, row)
+        if p:
+            w = {j: r for j, v in w.items() if (r := v % p)}
+        return x, scale, w
 
     def contains(self, vec) -> bool:
-        return not self._reduce(vec)
+        return not self._reduce(vec)[2]
 
     def residual(self, vec) -> tuple:
-        return dense_vec(self.field, self.ambient, self._reduce(vec))
+        """vec minus its projection along the pivots onto the space."""
+        _, scale, w = self._reduce(vec)
+        m = scale * self._den
+        if m != 1:
+            w = {j: _ratio(v, m) for j, v in w.items()}
+        return dense_vec(self.field, self.ambient, w)
 
     def add(self, vec) -> bool:
         """Insert vec; True if the dimension grew."""
-        F = self.field
-        w = self._reduce(vec)
+        w = self._reduce(vec)[2]
         if not w:
             return False
+        p = self.field.characteristic
         pc = min(w)
-        inv = F.inv(w[pc])
-        w = {j: F.mul(inv, v) for j, v in w.items()}
-        for row in self._rows:
+        a = w[pc]
+        if p:
+            inv = pow(a, -1, p)
+            w = {j: v * inv % p for j, v in w.items()}
+            a = 1
+        elif a < 0:
+            w = {j: -v for j, v in w.items()}
+            a = -a
+        # row <- (a * row - row[pc] * w) / d clears pc and makes a the pivot
+        # entry of every row; the division is exact
+        d = self._den
+        for i, row in enumerate(self._num):
             c = row.get(pc)
+            if c is None and a == d:
+                continue
+            if a != 1:
+                row = {j: a * v for j, v in row.items()}
             if c is not None:
-                axpy(F, row, F.neg(c), w)
-        at = 0
-        while at < len(self._pivots) and self._pivots[at] < pc:
-            at += 1
-        self._rows.insert(at, w)
+                _submul(row, c, w)
+            if d != 1:
+                row = {j: v // d for j, v in row.items()}
+            if p:
+                row = {j: r for j, v in row.items() if (r := v % p)}
+            self._num[i] = row
+        at = bisect_left(self._pivots, pc)
+        self._num.insert(at, w)
         self._pivots.insert(at, pc)
+        self._den = a
+        self._rref = None
         return True
 
     def close(self, images) -> "RowSpace":
         """Grow to the smallest space holding images(v) for every v in it;
         returns self.  images maps a sparse vector to the vectors some
-        family of linear maps sends it to, so closing the basis suffices."""
-        # add reduces the kept rows in place, so the queue holds copies
-        queue = [dict(row) for row in self._rows]
+        family of linear maps sends it to, so closing a basis suffices."""
+        # add rewrites the kept rows, so the queue holds copies
+        queue = [dict(row) for row in self._num]
         while queue:
             for w in images(queue.pop()):
                 if self.add(w):
@@ -348,7 +426,7 @@ class RowSpace:
 
     def closed_under(self, images) -> bool:
         """Does the space hold images(v) for every v in it?"""
-        return all(self.contains(w) for row in self._rows for w in images(row))
+        return all(self.contains(w) for row in self._num for w in images(row))
 
     def basis(self) -> list[tuple]:
         return [dense_vec(self.field, self.ambient, row) for row in self._rows]
@@ -358,10 +436,11 @@ class RowSpace:
 
     def coords(self, vec) -> tuple | None:
         """Coordinates of vec in basis(); None if vec is outside."""
-        out: list = []
-        if self._reduce(vec, out):
+        x, _, w = self._reduce(vec)
+        if w:
             return None
-        return tuple(out)
+        zero = self.field.zero
+        return tuple(x.get(pc, zero) for pc in self._pivots)
 
 
 def span_basis(F: Field, vectors, ambient: int) -> list[tuple]:
@@ -371,26 +450,13 @@ def span_basis(F: Field, vectors, ambient: int) -> list[tuple]:
 
 
 def intersect_spans(F: Field, basis_u: list[tuple], basis_w: list[tuple], ambient: int) -> list[tuple]:
-    """Canonical basis of span(U) intersect span(W)."""
-    if not basis_u or not basis_w:
-        return []
-    cols = len(basis_u) + len(basis_w)
-    ent = {}
-    for a, u in enumerate(basis_u):
-        for i, v in enumerate(u):
-            if not F.is_zero(v):
-                ent[(i, a)] = v
-    for b, w in enumerate(basis_w):
-        for i, v in enumerate(w):
-            if not F.is_zero(v):
-                ent[(i, len(basis_u) + b)] = F.neg(v)
-    M = SparseMatrix(F, ambient, cols, ent)
-    vecs = []
-    for k in M.kernel_basis():
-        acc = [F.zero] * ambient
-        for a, u in enumerate(basis_u):
-            if not F.is_zero(k[a]):
-                for i, v in enumerate(u):
-                    acc[i] = F.add(acc[i], F.mul(k[a], v))
-        vecs.append(tuple(acc))
-    return span_basis(F, vecs, ambient)
+    """Canonical basis of span(U) intersect span(W), by Zassenhaus: among the
+    reduced echelon rows of (u | u) for u in U and (w | 0) for w in W, those
+    with a pivot in the second half are (0 | b) for the reduced echelon
+    basis b of the intersection."""
+    zeros = (F.zero,) * ambient
+    rs = RowSpace(F, 2 * ambient,
+                  [tuple(u) * 2 for u in basis_u] + [tuple(w) + zeros for w in basis_w])
+    first = bisect_left(rs._pivots, ambient)
+    return [dense_vec(F, ambient, {j - ambient: v for j, v in row.items()})
+            for row in rs._rows[first:]]

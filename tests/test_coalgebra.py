@@ -163,6 +163,21 @@ def test_subcoalgebra_on_span_rejects_non_closed():
         subcoalgebra_on_span(C, [basis_vec(F, 2, 1)])
 
 
+def test_subcoalgebra_on_span_rejects_one_sided_coideals():
+    F = QQ
+    # g0, g2 grouplike and delta(x) = g0 (x) x + x (x) g2, x = c1
+    comult = {0: {(0, 0): F.one}, 2: {(2, 2): F.one},
+              1: {(0, 1): F.one, (1, 2): F.one}}
+    M = FinCoalgebra(F, 3, comult, (F.one, F.zero, F.one))
+    # span(x, g2) holds every right factor of delta(x) but not the left g0,
+    # and span(g0, x) holds the left factors but not the right g2
+    for span in ([1, 2], [0, 1]):
+        with pytest.raises(ValidationError, match="span is not a subcoalgebra"):
+            subcoalgebra_on_span(M, [basis_vec(F, 3, i) for i in span])
+    D, _ = subcoalgebra_on_span(M, [basis_vec(F, 3, i) for i in range(3)])
+    assert D.dim == 3
+
+
 def test_induced_comult_matches_ambient():
     F = GF(7)
     # three-step path-like coalgebra; the two endpoint grouplikes span a

@@ -15,6 +15,7 @@ from dualis.comodule import (
     lattice_agreement_check,
     module_to_comodule,
     subcomodule_generated,
+    subcomodule_on_span,
 )
 from dualis.errors import ValidationError
 from dualis.fields import GF, QQ
@@ -180,3 +181,13 @@ def test_lattice_agreement_sampled_rational():
     report = lattice_agreement_check(M, seed=5, samples=40)
     assert not report["exhaustive"]
     assert report["agree"] == report["checked"]
+
+
+def test_subcomodule_on_span_rejects_non_closed():
+    F = QQ
+    M = regular_comodule(pointed2(F))
+    # rho(x) = g (x) x + x (x) g leaves the line through x
+    with pytest.raises(ValidationError, match="span is not a subcomodule"):
+        subcomodule_on_span(M, [basis_vec(F, 2, 1)])
+    sub, incl = subcomodule_on_span(M, [basis_vec(F, 2, 0)])
+    assert sub.dim == 1 and incl.cols == 1

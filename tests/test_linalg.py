@@ -106,26 +106,29 @@ def _gauss_jordan(p, rows, ncols):
     return m[:len(pivots)], pivots
 
 
-def _oracle(p, rows, ncols, b):
-    """(rank, kernel basis, solution of Mx = b or None, inverse rows or None)."""
+def _oracle(p, rows, ncols, bs):
+    """(reduced rows, pivot columns, kernel basis, the solution of Mx = b or
+    None for each b in bs, inverse rows or None)."""
     norm = (lambda x: x % p) if p else Fraction
-    red, pivots = _gauss_jordan(p, rows, ncols)
-    rank = len(pivots)
+    red0, pivots0 = _gauss_jordan(p, rows, ncols)
     kernel = []
     for fc in range(ncols):
-        if fc not in pivots:
+        if fc not in pivots0:
             v = [norm(0)] * ncols
             v[fc] = norm(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = norm(-red[r][fc])
+            for r, pc in enumerate(pivots0):
+                v[pc] = norm(-red0[r][fc])
             kernel.append(tuple(v))
-    red, pivots = _gauss_jordan(p, [row + [bi] for row, bi in zip(rows, b)], ncols + 1)
-    x = None
-    if ncols not in pivots:
-        x = [norm(0)] * ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = red[r][ncols]
-        x = tuple(x)
+    xs = []
+    for b in bs:
+        red, pivots = _gauss_jordan(p, [row + [bi] for row, bi in zip(rows, b)], ncols + 1)
+        x = None
+        if ncols not in pivots:
+            x = [norm(0)] * ncols
+            for r, pc in enumerate(pivots):
+                x[pc] = red[r][ncols]
+            x = tuple(x)
+        xs.append(x)
     inverse = None
     n = len(rows)
     if n == ncols:
@@ -133,7 +136,7 @@ def _oracle(p, rows, ncols, b):
         red, pivots = _gauss_jordan(p, [row + e for row, e in zip(rows, eye)], 2 * n)
         if pivots[:n] == list(range(n)):
             inverse = [row[n:] for row in red]
-    return rank, kernel, x, inverse
+    return red0, pivots0, kernel, xs, inverse
 
 
 def _elimination_cases(p, rng):
@@ -175,13 +178,14 @@ def test_elimination_matches_dense_gauss_jordan_seeded():
             x0 = [rng.randrange(-4, 5) for _ in range(ncols)]
             consistent = [sum(a * b for a, b in zip(row, x0)) for row in rows]
             arbitrary = [rng.randrange(-4, 5) for _ in rows]
-            for b in (consistent, arbitrary):
-                rank, kernel, x, inverse = _oracle(p, rows, ncols, b)
-                assert M.rank() == rank, (field, rows)
-                assert M.kernel_basis() == kernel, (field, rows)
+            _, pivots, kernel, xs, inverse = _oracle(p, rows, ncols, (consistent, arbitrary))
+            rank = len(pivots)
+            assert M.rank() == rank, (field, rows)
+            assert M.kernel_basis() == kernel, (field, rows)
+            for b, x in zip((consistent, arbitrary), xs):
                 assert M.solve(tuple(field.from_int(v) for v in b)) == x, (field, rows, b)
-                assert x is not None or b is arbitrary
-            kinds["inconsistent"] += x is None
+            assert xs[0] is not None
+            kinds["inconsistent"] += xs[1] is None
             kinds["rank-deficient"] += rank < min(len(rows), ncols)
             if len(rows) != ncols:
                 continue
@@ -349,6 +353,135 @@ def test_rowspace_close_and_closed_under_match_plain_fixpoint(field):
         if maps == [_IRREDUCIBLE] and any(x % p if p else x for row in seeds for x in row):
             assert rs.dim == 4
     assert min(closed_seen.values()) >= 10, closed_seen
+
+
+# ---------------------------------------------------------------------------
+# Q elimination on inputs that stress the fraction-free arithmetic: mixed
+# denominators, entries up to 10^6, sizes up to 16, negative pivot minors
+
+
+def _q(v):
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def _rational_cases(rng):
+    """(rows, ncols) over Q: pinned cases, then seeded random ones."""
+    def entry(kind):
+        if kind == "big":
+            return rng.randrange(-10**6, 10**6 + 1)
+        top = 10**6 if kind == "big-frac" else 9
+        return _q(Fraction(rng.randrange(-top, top + 1), rng.randrange(1, 13)))
+
+    def rand(r, c, kind, density=1.0):
+        return [[entry(kind) if rng.random() < density else 0 for _ in range(c)]
+                for _ in range(r)]
+
+    def product(r, k, c, kind):
+        A, B = rand(r, k, kind), rand(k, c, kind)
+        return [[_q(sum(Fraction(A[i][t]) * B[t][j] for t in range(k))) for j in range(c)]
+                for i in range(r)]
+
+    cases = [
+        # det -208: the first pivot entry, -3, is negative as well
+        ([[-3, 1, 4], [2, 5, -1], [7, -2, 3]], 3),
+        ([[F(1, 2), F(1, 3)], [F(1, 4), F(1, 6)]], 2),
+        ([[F(-1, 6), 0, F(5, 4)], [0, F(7, 10), 0], [F(2, 3), 0, -5]], 3),
+    ]
+    for kind in ("frac", "big", "big-frac"):
+        cases += [(rand(12, 12, kind), 12), (rand(16, 16, kind), 16),
+                  (rand(16, 16, kind, 0.3), 16), (product(12, 6, 12, kind), 12)]
+        cases.append((rand(8, 14, kind, 0.6), 14))
+        cases.append((rand(14, 8, kind, 0.6), 8))
+    return cases
+
+
+def _det(rows):
+    """Determinant over Q by plain Fraction elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        piv = next((i for i in range(c, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return det
+
+
+def _all_canonical(values) -> bool:
+    return all(_is_canonical_rational(v) for v in values)
+
+
+def test_rational_elimination_matches_dense_gauss_jordan_seeded():
+    rng = random.Random("elimination:q-rational")
+    cases = _rational_cases(rng)
+    assert _det(cases[0][0]) < 0
+    seen = {"fractional": 0, "big": 0, "singular": 0, "invertible": 0, "outside": 0}
+    for rows, ncols in cases:
+        M = SparseMatrix.from_rows(QQ, rows, ncols)
+        x0 = [_q(Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))) for _ in range(ncols)]
+        consistent = [_q(sum(Fraction(a) * b for a, b in zip(row, x0))) for row in rows]
+        arbitrary = [_q(Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))) for _ in rows]
+        red, pivots, kernel, xs, inverse = _oracle(0, rows, ncols, (consistent, arbitrary))
+        assert M.rank() == len(pivots), rows
+        got = M.kernel_basis()
+        assert got == kernel and _all_canonical(v for k in got for v in k), rows
+        for b, x in zip((consistent, arbitrary), xs):
+            got = M.solve(tuple(b))
+            assert got == x, (rows, b)
+            assert got is None or _all_canonical(got)
+        assert xs[0] is not None
+        if len(rows) == ncols:
+            if inverse is None:
+                seen["singular"] += 1
+                with pytest.raises(DimensionMismatch):
+                    M.inverse()
+            else:
+                seen["invertible"] += 1
+                got = M.inverse()
+                assert got == SparseMatrix.from_rows(QQ, inverse, ncols), rows
+                assert _all_canonical(got.entries.values())
+        seen["fractional"] += any(type(v) is Fraction for row in rows for v in row)
+        seen["big"] += any(abs(v) > 10**5 for row in rows for v in row)
+
+        # RowSpace membership, coordinates and residuals of members and of
+        # random vectors, against the dense reduced form
+        rs = RowSpace(QQ, ncols, [tuple(row) for row in rows])
+        assert rs.basis() == [tuple(row) for row in red]
+        assert _all_canonical(v for row in rs.basis() for v in row)
+        probes = [tuple(entry for entry in row) for row in rows[:3]]
+        for _ in range(4):
+            coeffs = [Fraction(rng.randrange(-5, 6), rng.randrange(1, 5)) for _ in red]
+            probes.append(tuple(_q(sum(c * row[j] for c, row in zip(coeffs, red)))
+                                for j in range(ncols)))
+            probes.append(tuple(_q(Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 9)))
+                                for _ in range(ncols)))
+        for v in probes:
+            # v minus its pivot entries times the reduced rows; v is in the
+            # row space exactly when this is zero
+            want = [Fraction(a) for a in v]
+            for pc, row in zip(pivots, red):
+                c = Fraction(v[pc])
+                want = [a - c * b for a, b in zip(want, row)]
+            member = not any(want)
+            seen["outside"] += not member
+            assert rs.contains(v) == member == rs.contains(sparse_vec(QQ, v))
+            res = rs.residual(v)
+            assert res == tuple(want) and _all_canonical(res), v
+            coords = rs.coords(v)
+            if not member:
+                assert coords is None
+                continue
+            assert _all_canonical(coords)
+            assert [_q(sum(c * row[j] for c, row in zip(coords, red)))
+                    for j in range(ncols)] == list(v)
+    assert min(seen.values()) >= 3, seen
 
 
 def test_intersect_spans():

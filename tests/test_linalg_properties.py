@@ -15,11 +15,15 @@ st = hypothesis.strategies
 
 @st.composite
 def systems(draw):
-    """A field, a matrix over it, a vector x0 and a right-hand side b."""
+    """A field, a matrix over it, a vector x0 and a right-hand side b; the
+    scalars over Q are fractions a/b with b in 1..6."""
     field = draw(st.sampled_from([QQ, GF(2), GF(101)]))
     r = draw(st.integers(0, 5))
     c = draw(st.integers(0, 5))
-    scalar = st.integers(-4, 4).map(field.from_int)
+    if field.characteristic:
+        scalar = st.integers(-4, 4).map(field.from_int)
+    else:
+        scalar = st.builds(field.div, st.integers(-4, 4), st.integers(1, 6))
     rows = draw(st.lists(st.lists(scalar, min_size=c, max_size=c), min_size=r, max_size=r))
     x0 = tuple(draw(st.lists(scalar, min_size=c, max_size=c)))
     b = tuple(draw(st.lists(scalar, min_size=r, max_size=r)))
