@@ -455,7 +455,7 @@ def test_rational_elimination_matches_dense_gauss_jordan_seeded():
         rs = RowSpace(QQ, ncols, [tuple(row) for row in rows])
         assert rs.basis() == [tuple(row) for row in red]
         assert _all_canonical(v for row in rs.basis() for v in row)
-        probes = [tuple(entry for entry in row) for row in rows[:3]]
+        probes = [tuple(row) for row in rows[:3]]
         for _ in range(4):
             coeffs = [Fraction(rng.randrange(-5, 6), rng.randrange(1, 5)) for _ in red]
             probes.append(tuple(_q(sum(c * row[j] for c, row in zip(coeffs, red)))
