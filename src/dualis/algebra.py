@@ -366,7 +366,7 @@ def radical(A: FinAlgebra) -> SubspaceIdeal:
     G = SparseMatrix(F, n, n, ent)
     rad = SubspaceIdeal(A, tuple(G.kernel_basis()), "two")
     # nilpotency certificate: powers of the radical reach zero
-    power = list(rad.basis)
+    power = gens = [sparse_vec(F, b) for b in rad.basis]
     steps = 0
     while power:
         steps += 1
@@ -374,7 +374,7 @@ def radical(A: FinAlgebra) -> SubspaceIdeal:
             raise ValidationError("radical candidate is not nilpotent")
         nxt = RowSpace(F, n)
         for x in power:
-            for y in rad.basis:
-                nxt.add(A.multiply(x, y))
-        power = nxt.basis()
+            for y in gens:
+                nxt.add(bilinear(F, A.mult, x, y))
+        power = [sparse_vec(F, b) for b in nxt.basis()]
     return rad

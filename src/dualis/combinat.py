@@ -10,7 +10,10 @@ morphisms rather than assert table equality by fiat.
 Infinite shapes (the integer line, a ray, stars, a loop) are templates: they
 answer local arrow queries and truncate to finite quivers, and
 semiperfect_check walks them directly, reporting per-vertex path counts as
-explicit bounded certificates.
+explicit bounded certificates.  A walk whose frontier recurs (the loop, any
+cycle) skips whole periods: each next frontier is determined by the current
+one, so every later period adds exactly the same number of paths, and the
+count reported is the one a step-by-step walk would reach.
 """
 
 from __future__ import annotations
@@ -468,9 +471,7 @@ class SemiperfectReport:
 
     holds: every vertex within the radius has all its paths enumerated below
     the bound (counts in per_vertex).  fails: the witness vertex already has
-    more than bound paths, listed with the count reached.  unknown: the walk
-    search hit its internal cap without resolving (should not occur for
-    finite out-degree templates).
+    more than bound paths, listed with the count reached.
     """
 
     side: str
@@ -483,13 +484,24 @@ class SemiperfectReport:
 
 
 def _count_walks(template, v, forward: bool, bound: int):
+    """Count the paths starting (forward) or ending at v, stopping once the
+    count passes bound.  Returns ("finite", total) or ("exceeded", total).
+
+    The next frontier is a function of the ordered current one, so once a
+    frontier recurs the growth repeats with that period.  A saved frontier
+    (Brent, BIT 20, 1980: the save point moves after a window that doubles)
+    finds the period; whole periods are then added in one step, stopping
+    short of bound, and the walk goes on to the exact first total above it.
+    """
+    step = template.out_arrows if forward else template.in_arrows
     total = 1  # the trivial path
     frontier = [v]
-    for _ in range(bound + 1):
+    saved, saved_total = frontier, total
+    window, since = 1, 0
+    while True:
         nxt = []
         for u in frontier:
-            hops = template.out_arrows(u) if forward else template.in_arrows(u)
-            for (_, w) in hops:
+            for (_, w) in step(u):
                 nxt.append(w)
         total += len(nxt)
         if total > bound:
@@ -497,7 +509,15 @@ def _count_walks(template, v, forward: bool, bound: int):
         if not nxt:
             return "finite", total
         frontier = nxt
-    return "unknown", total
+        since += 1
+        if frontier == saved:
+            per = total - saved_total
+            total += (bound - total) // per * per
+            saved, saved_total = frontier, total  # counts on from the skipped total
+        elif since == window:
+            saved, saved_total = frontier, total
+            window *= 2
+            since = 0
 
 
 def semiperfect_check(template, side: str, radius: int, bound: int,
@@ -516,7 +536,5 @@ def semiperfect_check(template, side: str, radius: int, bound: int,
         status, total = _count_walks(template, v, forward, bound)
         if status == "exceeded":
             return SemiperfectReport(side, "fails", radius, bound, vertex=v, count=total)
-        if status == "unknown":
-            return SemiperfectReport(side, "unknown", radius, bound, vertex=v, count=total)
         counts.append((v, total))
     return SemiperfectReport(side, "holds", radius, bound, per_vertex=tuple(counts))

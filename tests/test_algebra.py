@@ -147,6 +147,15 @@ def test_radical_of_upper_triangular():
     assert radical(Q).dim == 0
 
 
+def test_radical_rejects_a_candidate_that_is_not_nilpotent(monkeypatch):
+    # a kernel step that returns every basis vector makes the candidate the
+    # whole unital algebra, whose powers never reach zero
+    monkeypatch.setattr(SparseMatrix, "kernel_basis",
+                        lambda self: [basis_vec(QQ, self.cols, i) for i in range(self.cols)])
+    with pytest.raises(ValidationError, match="radical candidate is not nilpotent"):
+        radical(upper_triangular_2x2())
+
+
 def test_radical_characteristic_guard():
     A3 = FinAlgebra(GF(3), 2, {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {1: 1}})
     with pytest.raises(UnsupportedCharacteristic):

@@ -3,6 +3,7 @@
 import pytest
 
 from dualis.combinat import (
+    FiniteTemplate,
     LineTemplate,
     LoopTemplate,
     Poset,
@@ -17,6 +18,8 @@ from dualis.combinat import (
     make_template,
     path_algebra,
     path_coalgebra,
+    SemiperfectReport,
+    _count_walks,
     paths_by_length,
     semiperfect_check,
     transitive_closure,
@@ -197,7 +200,79 @@ def test_semiperfect_star_and_loop():
 
 
 def test_semiperfect_finite_acyclic_holds_both():
-    from dualis.combinat import FiniteTemplate
     t = FiniteTemplate(A3)
     assert semiperfect_check(t, "left", 1, 16).status == "holds"
     assert semiperfect_check(t, "right", 1, 16).status == "holds"
+
+
+def _cycle(length, chord=None, tail=False):
+    """Directed cycle 0 -> 1 -> ... -> 0; chord=k adds a second arrow 0 -> k,
+    so path counts grow geometrically; tail adds t -> 0, so the frontiers
+    from t, and those ending at 0, repeat only after a transient."""
+    arrows = [(i, (i + 1) % length) for i in range(length)]
+    if chord is not None:
+        arrows.append((0, chord))
+    if tail:
+        arrows.append(("t", 0))
+    return FiniteTemplate(Quiver(tuple(range(length)) + ("t",) * tail, tuple(arrows)))
+
+
+def _walk_oracle(template, v, forward, bound):
+    """The step-by-step count: one frontier per path length until the count
+    passes bound or the frontier empties."""
+    total, frontier = 1, [v]
+    while True:
+        frontier = [w for u in frontier for (_, w) in
+                    (template.out_arrows(u) if forward else template.in_arrows(u))]
+        total += len(frontier)
+        if total > bound:
+            return "exceeded", total
+        if not frontier:
+            return "finite", total
+
+
+def _check_oracle(template, side, radius, bound):
+    counts = []
+    for v in template.vertices_within(radius):
+        status, total = _walk_oracle(template, v, side == "left", bound)
+        if status == "exceeded":
+            return SemiperfectReport(side, "fails", radius, bound, vertex=v, count=total)
+        counts.append((v, total))
+    return SemiperfectReport(side, "holds", radius, bound, per_vertex=tuple(counts))
+
+
+_ORACLE_TEMPLATES = {
+    "loop": LoopTemplate(), "ray": RayTemplate(), "line": LineTemplate(),
+    "star:3": StarTemplate(3),
+    **{f"cycle{n}-chord{chord}-tail{int(tail)}": _cycle(n, chord, tail)
+       for n in range(1, 6) for chord in (None, *range(n)) for tail in (False, True)},
+}
+
+
+@pytest.mark.parametrize("name", _ORACLE_TEMPLATES)
+def test_walk_counts_match_step_by_step_oracle(name):
+    template = _ORACLE_TEMPLATES[name]
+    for bound in range(151):
+        for side in ("left", "right"):
+            forward = side == "left"
+            for v in template.vertices_within(3):
+                assert _count_walks(template, v, forward, bound) == \
+                    _walk_oracle(template, v, forward, bound), (side, v, bound)
+            assert semiperfect_check(template, side, 3, bound) == \
+                _check_oracle(template, side, 3, bound), (side, bound)
+
+
+def test_walk_counts_on_pure_cycles_at_large_bounds():
+    for n in range(1, 6):
+        template = _cycle(n, tail=True)
+        for bound in (10**4, 10**4 + 7):
+            for forward in (True, False):
+                for v in template.vertices_within(0):
+                    assert _count_walks(template, v, forward, bound) == \
+                        _walk_oracle(template, v, forward, bound)
+
+
+def test_loop_answers_at_bounds_no_walk_could_reach():
+    rep = semiperfect_check(LoopTemplate(), "right", 2, 10**15)
+    assert rep.status == "fails"
+    assert rep.count == 10**15 + 1
