@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 
 from .algebra import FinAlgebra, check_associative, multiples
-from .coalgebra import FinCoalgebra, counitalize, dual_algebra, dual_coalgebra
+from .coalgebra import FinCoalgebra, _trusted, counitalize, dual_algebra, dual_coalgebra
 from .errors import DimensionMismatch, ValidationError
 from .fields import Field
 from .linalg import (RowSpace, SparseMatrix, axpy, basis_vec, bilinear, dense_vec, prune,
@@ -44,7 +44,7 @@ class FinComodule:
                 if not (0 <= s < self.dim and 0 <= k < C.dim):
                     raise DimensionMismatch(f"coaction target ({s},{k}) out of range")
         object.__setattr__(self, "coaction", prune(F, self.coaction))
-        comodule_to_dual_module(self)
+        FinModule(dual_algebra(C), self.dim, transpose_coaction(self.coaction))
 
     def coaction_of(self, x: tuple) -> dict:
         """rho(x) as a sparse {(s,k): scalar} tensor."""
@@ -104,23 +104,29 @@ def comodule_counitalize(M: FinComodule) -> tuple[FinComodule, FinCoalgebra]:
     return FinComodule(C1, M.dim, coaction), C1
 
 
-def comodule_to_dual_module(M: FinComodule) -> FinModule:
-    """The dual-basis functional c^k acts by contracting the coaction."""
+def transpose_coaction(coaction: dict) -> dict:
+    """coaction[t][(s,k)] = c  becomes  action[(k,t)][s] = c."""
     action: dict = {}
-    for t, terms in M.coaction.items():
+    for t, terms in coaction.items():
         for (s, k), v in terms.items():
             action.setdefault((k, t), {})[s] = v
-    return FinModule(dual_algebra(M.coalgebra), M.dim, action)
+    return action
+
+
+def comodule_to_dual_module(M: FinComodule) -> FinModule:
+    """The dual-basis functional c^k acts by contracting the coaction.
+    Trusted (i): the transpose of M."""
+    return _trusted(FinModule, dual_algebra(M.coalgebra), M.dim, transpose_coaction(M.coaction))
 
 
 def module_to_comodule(N: FinModule) -> FinComodule:
     """Inverse transpose: a module over a finite-dimensional algebra is a
-    comodule over the dual coalgebra."""
+    comodule over the dual coalgebra.  Trusted (i): the transpose of N."""
     coaction: dict = {}
     for (i, t), terms in N.action.items():
         for s, v in terms.items():
             coaction.setdefault(t, {})[(s, i)] = v
-    return FinComodule(dual_coalgebra(N.algebra), N.dim, coaction)
+    return _trusted(FinComodule, dual_coalgebra(N.algebra), N.dim, coaction)
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,16 @@
 Everything here is driven by a caller-supplied random.Random so runs are
 reproducible.  Random structures are built by conjugating known-good tables
 with random invertible basis changes: the result looks arbitrary but stays
-exactly (co)associative, and the conjugating map doubles as a self-check
-because the morphism constructors validate it.
+exactly (co)associative, and the morphism check on the conjugating map is
+what certifies it.
 """
 
 from __future__ import annotations
 
 from random import Random
 
-from .algebra import FinAlgebra, matrix_algebra, unitalize
-from .coalgebra import CoalgebraMorphism, FinCoalgebra, comatrix, dual_coalgebra
+from .algebra import AlgebraMorphism, FinAlgebra, matrix_algebra
+from .coalgebra import CoalgebraMorphism, FinCoalgebra, _trusted, comatrix
 from .combinat import Poset, Quiver, path_coalgebra, paths_by_length, transitive_closure
 from .comodule import FinComodule
 from .errors import ValidationError
@@ -52,8 +52,9 @@ def rand_invertible(F: Field, rng: Random, n: int) -> SparseMatrix:
 
 def conjugate_coalgebra(C: FinCoalgebra, P: SparseMatrix
                         ) -> tuple[FinCoalgebra, CoalgebraMorphism]:
-    """Transport the structure along P; returns the new coalgebra and the
-    isomorphism from C onto it (validated by construction)."""
+    """Transport the structure along P; returns the new coalgebra D and the
+    isomorphism from C onto it.  Trusted (ii): the CoalgebraMorphism check
+    of P: C -> D certifies D."""
     F = C.field
     Pinv = P.inverse()
     cols = P.columns()
@@ -70,14 +71,17 @@ def conjugate_coalgebra(C: FinCoalgebra, P: SparseMatrix
     counit = None
     if C.counit is not None:
         counit = tuple(Pinv.transpose().apply(tuple(C.counit)))
-    D = FinCoalgebra(F, C.dim, comult, counit)
+    D = _trusted(FinCoalgebra, F, C.dim, comult, counit)
     iso = CoalgebraMorphism(C, D, P, counital=C.counit is not None)
     return D, iso
 
 
 def conjugate_algebra(A: FinAlgebra, P: SparseMatrix) -> FinAlgebra:
+    """Transport the structure along P.  Trusted (ii): the AlgebraMorphism
+    check of P^-1 back onto A (the sparse original table) certifies it."""
     F = A.field
-    inv_cols = P.inverse().columns()
+    Pinv = P.inverse()
+    inv_cols = Pinv.columns()
     cols = P.columns()
     mult = {}
     for i, vi in enumerate(inv_cols):
@@ -88,7 +92,9 @@ def conjugate_algebra(A: FinAlgebra, P: SparseMatrix) -> FinAlgebra:
             if table:
                 mult[(i, j)] = table
     unit = tuple(P.apply(tuple(A.unit))) if A.unit is not None else None
-    return FinAlgebra(F, A.dim, mult, unit)
+    B = _trusted(FinAlgebra, F, A.dim, mult, unit)
+    AlgebraMorphism(B, A, Pinv, unital=unit is not None)
+    return B
 
 
 def divided_power_coalgebra(F: Field, n: int, counital: bool = True) -> FinCoalgebra:
@@ -229,12 +235,11 @@ def rand_comodule(rng: Random, C: FinCoalgebra, copies: int = 1) -> FinComodule:
                                        for (s, k), v in table.items()}
     P = rand_invertible(F, rng, dim)
     cols = P.columns()
-    base = FinComodule(C, dim, coaction)
     new = {}
     for t, v in enumerate(P.inverse().columns()):
         terms: dict = {}
         for a, va in v.items():
-            for (s, k), w in base.coaction.get(a, {}).items():
+            for (s, k), w in coaction.get(a, {}).items():
                 axpy(F, terms, F.mul(va, w), {(ss, k): x for ss, x in cols[s].items()})
         if terms:
             new[t] = terms

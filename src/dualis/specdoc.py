@@ -425,7 +425,7 @@ CHECKS = {
                                  {"field": (_field_name, "q")}),
     "semiperfect": ("quiver-template", _check_semiperfect,
                     {"side": _SIDE, "radius": (_count, 3), "bound": (_count, 64),
-                     "expect": (_one_of("holds", "fails", "unknown"), "holds")}),
+                     "expect": (_one_of("holds", "fails"), "holds")}),
     "coreflexive": ("coalgebra", _check_coreflexive, {}),
     "unital_dual_compat": ("algebra", _check_unital_dual_compat, {}),
     "dual_unitalization_iso": ("coalgebra", _check_dual_unitalization, {}),

@@ -125,13 +125,10 @@ def c01_counitalization_adjunction(knobs: SuiteKnobs, rng: Random) -> dict:
 def c02_dual_of_counitalization(knobs: SuiteKnobs, rng: Random) -> dict:
     done = 0
     for F in FIELDS:
-        for n in range(knobs.coalgebras):
+        for _ in range(knobs.coalgebras):
             C = rand_coalgebra(F, rng, max_dim=knobs.max_dim,
                                counital=bool(rng.randrange(2)))
-            iso = dual_unitalization_iso(C)
-            if not iso.matrix.rank() == C.dim + 1:
-                _fail("c02", "unitalization comparison is not bijective",
-                      field=F.name(), trial=n)
+            dual_unitalization_iso(C)  # raises unless bijective
             done += 1
     return {"isomorphisms": done}
 
@@ -139,13 +136,10 @@ def c02_dual_of_counitalization(knobs: SuiteKnobs, rng: Random) -> dict:
 def c03_dual_of_unitalization(knobs: SuiteKnobs, rng: Random) -> dict:
     done = 0
     for F in FIELDS:
-        for n in range(knobs.algebras):
+        for _ in range(knobs.algebras):
             A = rand_algebra(F, rng, max_dim=knobs.max_dim,
                              unital=bool(rng.randrange(2)))
-            iso = unital_dual_compat(A)
-            if not iso.is_bijective():
-                _fail("c03", "finite dual comparison is not bijective",
-                      field=F.name(), trial=n)
+            unital_dual_compat(A)  # raises unless bijective
             done += 1
     return {"isomorphisms": done}
 

@@ -8,6 +8,7 @@ Criterion 13 runs the whole battery twice and compares the canonical
 report bytes.
 """
 
+import hashlib
 from random import Random
 from time import perf_counter
 
@@ -100,3 +101,7 @@ def test_criterion_13_reports_byte_identical():
     assert first.passed
     assert second.passed
     assert first.canonical_json() == second.canonical_json()
+    # the seed-0 bytes themselves; a change that alters them on purpose
+    # updates this digest and says so
+    assert hashlib.sha256(first.canonical_json().encode()).hexdigest() == \
+        "77a026be88876f35c422252d46519049db47a93d0c16fda3a78442123a2d458d"

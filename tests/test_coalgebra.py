@@ -29,6 +29,7 @@ from dualis.coalgebra import (
 from dualis.errors import ValidationError
 from dualis.fields import GF, QQ
 from dualis.linalg import SparseMatrix, basis_vec
+from dualis.randgen import divided_power_coalgebra
 
 
 def pointed2(F):
@@ -121,6 +122,18 @@ def test_comatrix_cover_pointed():
     theta = comatrix_cover(C)
     assert theta.source.dim == 9
     assert theta.matrix.rank() == 2
+    # the cover is built as a transpose, unchecked; the full constructors
+    # must agree with it
+    for F in (QQ, GF(101)):
+        one = F.one
+        for C in (FinCoalgebra(F, 0, {}, ()), FinCoalgebra(F, 1, {0: {(0, 0): one}}, (one,)),
+                  FinCoalgebra(F, 1, {}, None), pointed2(F), divided_power_coalgebra(F, 2),
+                  divided_power_coalgebra(F, 3, counital=False)):
+            theta = comatrix_cover(C)
+            assert theta.source == comatrix(F, C.dim + 1)
+            assert theta.target is C and not theta.counital
+            assert theta.matrix.rank() == C.dim
+            CoalgebraMorphism(theta.source, C, theta.matrix)
 
 
 def test_comatrix_cover_zero_dim():

@@ -1,6 +1,10 @@
 from random import Random
 
-from dualis.coalgebra import comatrix
+import pytest
+
+from dualis.algebra import AlgebraMorphism, FinAlgebra
+from dualis.coalgebra import CoalgebraMorphism, FinCoalgebra, _trusted, comatrix
+from dualis.errors import ValidationError
 from dualis.fields import GF, QQ
 from dualis.linalg import SparseMatrix
 from dualis.randgen import (
@@ -37,6 +41,59 @@ def test_conjugation_preserves_structure():
     A = truncated_poly_algebra(GF(101), 3)
     B = conjugate_algebra(A, rand_invertible(GF(101), rng, 4))
     assert B.unit is not None
+
+
+def _changed(F, table: dict, key, inner):
+    """A copy of a nested table with entry table[key][inner] moved by one."""
+    out = {k: dict(t) for k, t in table.items()}
+    terms = out.setdefault(key, {})
+    v = F.add(terms.get(inner, F.zero), F.one)
+    if F.is_zero(v):
+        del terms[inner]
+    else:
+        terms[inner] = v
+    return {k: t for k, t in out.items() if t}
+
+
+@pytest.mark.parametrize("F", [QQ, GF(101)], ids=["q", "fp101"])
+def test_transport_checks_reject_one_changed_entry(F):
+    # a transported structure is certified by its morphism check alone, so
+    # that check must see every entry of the table and the (co)unit
+    rng = Random(f"transport:{F.name()}")
+    C = comatrix(F, 2)
+    P = rand_invertible(F, rng, C.dim)
+    D, _ = conjugate_coalgebra(C, P)
+    changes = [(k, ij) for k, t in sorted(D.comult.items()) for ij in sorted(t)]
+    changes += [(rng.randrange(4), (rng.randrange(4), rng.randrange(4))) for _ in range(5)]
+    for k, ij in changes:
+        bad = _trusted(FinCoalgebra, F, D.dim, _changed(F, D.comult, k, ij), D.counit)
+        with pytest.raises(ValidationError):
+            CoalgebraMorphism(C, bad, P)
+    counit = list(D.counit)
+    i = rng.randrange(4)
+    counit[i] = F.add(counit[i], F.one)
+    moved = _trusted(FinCoalgebra, F, D.dim, D.comult, tuple(counit))
+    CoalgebraMorphism(C, moved, P)
+    with pytest.raises(ValidationError, match="unit to unit"):
+        CoalgebraMorphism(C, moved, P, counital=True)
+
+    A = truncated_poly_algebra(F, 3)
+    P = rand_invertible(F, rng, A.dim)
+    Pinv = P.inverse()
+    B = conjugate_algebra(A, P)
+    changes = [(ij, k) for ij, t in sorted(B.mult.items()) for k in sorted(t)]
+    changes += [((rng.randrange(4), rng.randrange(4)), rng.randrange(4)) for _ in range(5)]
+    for ij, k in changes:
+        bad = _trusted(FinAlgebra, F, B.dim, _changed(F, B.mult, ij, k), B.unit)
+        with pytest.raises(ValidationError):
+            AlgebraMorphism(bad, A, Pinv)
+    unit = list(B.unit)
+    i = rng.randrange(4)
+    unit[i] = F.add(unit[i], F.one)
+    moved = _trusted(FinAlgebra, F, B.dim, B.mult, tuple(unit))
+    AlgebraMorphism(moved, A, Pinv)
+    with pytest.raises(ValidationError, match="unit to unit"):
+        AlgebraMorphism(moved, A, Pinv, unital=True)
 
 
 def test_rand_coalgebra_counit_flag():

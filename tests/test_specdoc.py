@@ -188,7 +188,7 @@ def test_check_params_are_typed_at_parse_time():
         {"side": "right", "radius": 2, "bound": 30, "expect": "holds"}
     for bad in (5, [], "radius", {"radius": "x"}, {"radius": -1}, {"radius": 2.5},
                 {"radius": True}, {"side": "up"}, {"expect": ["holds"]},
-                {"radius": 2, "extra": [1]}, {"expct": "fails"}):
+                {"radius": 2, "extra": [1]}, {"expct": "fails"}, {"expect": "unknown"}):
         with pytest.raises(SpecParseError):
             params_of(bad)
     q1 = {"q": {"type": "quiver", "vertices": [0, 1], "arrows": [[0, 1]]}}
