@@ -185,7 +185,7 @@ def _cmd_counitalize(args) -> int:
 def _cmd_coreflexive(args) -> int:
     doc = _load_doc(args.spec)
     _, C = _named(doc, args.object_name, ("coalgebra",))
-    rep = left_coreflexive_check(C, seed=args.seed)
+    rep = left_coreflexive_check(C)
     out = {"bijective": rep.bijective, "kernel_rank": rep.kernel_rank,
            "source_dim": rep.source_dim, "target_dim": rep.target_dim}
     if args.json:

@@ -8,6 +8,10 @@ re-checked with exact arithmetic before returning; when the search cannot
 certify primitivity it raises UnsupportedCorner rather than guess.
 sympy, the factorizer, is imported on first use, so importing dualis does
 not load it.
+
+Elements are sparse {index: scalar} dicts throughout: products go through
+bilinear on the multiplication table and sums through axpy.  The public
+functions accept coordinate tuples or dicts and return coordinate tuples.
 """
 
 from __future__ import annotations
@@ -17,17 +21,7 @@ from fractions import Fraction
 from .algebra import FinAlgebra, quotient_algebra, radical
 from .errors import DecompositionFailed, UnsupportedCorner, ValidationError
 from .fields import Field
-from .linalg import (
-    RowSpace,
-    SparseMatrix,
-    basis_vec,
-    bilinear,
-    dense_vec,
-    sparse_vec,
-    vec_add,
-    vec_scale,
-    vec_sub,
-)
+from .linalg import RowSpace, SparseMatrix, axpy, basis_vec, bilinear, dense_vec, sparse_vec
 
 
 def _to_sympy_poly(F: Field, coeffs, t):
@@ -55,30 +49,32 @@ def _from_sympy_coeffs(F: Field, poly) -> list:
     return out
 
 
-def _poly_eval(A: FinAlgebra, coeffs, x: tuple, e: tuple) -> tuple:
+def _poly_eval(A: FinAlgebra, coeffs, x: dict, e: dict) -> dict:
     """Evaluate with the convention t^0 = e (the corner's local unit)."""
     F = A.field
-    acc = tuple([F.zero] * A.dim)
+    acc: dict = {}
     power = e
     for c in coeffs:
-        if not F.is_zero(c):
-            acc = vec_add(F, acc, vec_scale(F, c, power))
-        power = A.multiply(power, x)
+        axpy(F, acc, c, power)
+        power = bilinear(F, A.mult, power, x)
     return acc
 
 
-def min_poly_in_corner(A: FinAlgebra, x: tuple, e: tuple) -> list:
+def min_poly_in_corner(A: FinAlgebra, x, e) -> list:
     """Monic minimal polynomial of x relative to the local unit e, low -> high."""
     F = A.field
+    x, e = sparse_vec(F, x), sparse_vec(F, e)
     rs = RowSpace(F, A.dim)
     powers = [e]
     rs.add(e)
     cur = e
     while True:
-        cur = A.multiply(cur, x)
+        cur = bilinear(F, A.mult, cur, x)
         if rs.contains(cur):
-            M = SparseMatrix.from_rows(F, powers, A.dim).transpose()
-            sol = M.solve(cur)
+            # columns are the powers, so the solution is cur's coordinates
+            M = SparseMatrix(F, A.dim, len(powers),
+                             {(i, j): v for j, p in enumerate(powers) for i, v in p.items()})
+            sol = M.solve(dense_vec(F, A.dim, cur))
             if sol is None:
                 raise ValidationError("power dependence without coordinates")
             return [F.neg(c) for c in sol] + [F.one]
@@ -86,7 +82,7 @@ def min_poly_in_corner(A: FinAlgebra, x: tuple, e: tuple) -> list:
         powers.append(cur)
 
 
-def _try_split(A: FinAlgebra, e: tuple, x: tuple):
+def _try_split(A: FinAlgebra, e: dict, x: dict):
     """Split e using the factorization of the minimal polynomial of x in eAe.
 
     Returns (e1, e2) with e = e1 + e2 orthogonal idempotents, or None when
@@ -111,27 +107,28 @@ def _try_split(A: FinAlgebra, e: tuple, x: tuple):
     q = (s * g).quo(h)
     q = q.rem(m)
     e1 = _poly_eval(A, _from_sympy_coeffs(F, q), x, e)
-    e2 = vec_sub(F, e, e1)
-    if A.multiply(e1, e1) != e1 or A.multiply(e2, e2) != e2:
+    e2 = axpy(F, dict(e), F.neg(F.one), e1)
+    if bilinear(F, A.mult, e1, e1) != e1 or bilinear(F, A.mult, e2, e2) != e2:
         raise DecompositionFailed("splitting produced a non-idempotent")
-    if any(not F.is_zero(v) for v in A.multiply(e1, e2)):
+    if bilinear(F, A.mult, e1, e2):
         raise DecompositionFailed("splitting is not orthogonal")
     return e1, e2
 
 
-def _corner_products(A: FinAlgebra, e: tuple) -> list:
-    """e * b_i * e for every basis element b_i, as sparse dicts."""
+def _corner_products(A: FinAlgebra, e: dict) -> list:
+    """e * b_i * e for every basis element b_i."""
     F = A.field
-    ed = sparse_vec(F, e)
-    return [bilinear(F, A.mult, bilinear(F, A.mult, ed, {i: F.one}), ed)
+    return [bilinear(F, A.mult, bilinear(F, A.mult, e, {i: F.one}), e)
             for i in range(A.dim)]
 
 
-def _corner_basis(A: FinAlgebra, e: tuple) -> list:
-    return RowSpace(A.field, A.dim, _corner_products(A, e)).basis()
+def _corner_basis(A: FinAlgebra, e: dict) -> list:
+    F = A.field
+    rs = RowSpace(F, A.dim, _corner_products(A, e))
+    return [sparse_vec(F, u) for u in rs.basis()]
 
 
-def _certify_primitive(A: FinAlgebra, e: tuple) -> str | None:
+def _certify_primitive(A: FinAlgebra, e: dict) -> str | None:
     """A certificate string when e is provably primitive in semisimple A."""
     import sympy
 
@@ -139,11 +136,11 @@ def _certify_primitive(A: FinAlgebra, e: tuple) -> str | None:
     corner = _corner_basis(A, e)
     if len(corner) == 1:
         return "corner-dim-1"
-    commutative = all(A.multiply(u, v) == A.multiply(v, u)
+    commutative = all(bilinear(F, A.mult, u, v) == bilinear(F, A.mult, v, u)
                       for i, u in enumerate(corner) for v in corner[i + 1:])
     if commutative:
         probes = list(corner)
-        probes += [vec_add(F, u, v)
+        probes += [axpy(F, dict(u), F.one, v)
                    for i, u in enumerate(corner) for v in corner[i + 1:]]
         for u in probes:
             coeffs = min_poly_in_corner(A, u, e)
@@ -160,27 +157,25 @@ def split_semisimple_unit(A: FinAlgebra) -> tuple[list, list]:
     F = A.field
     if A.unit is None:
         raise ValidationError("idempotent splitting needs a unit")
-    pending = [tuple(A.unit)]
+    pending = [sparse_vec(F, A.unit)]
     done = []
     certs = []
     while pending:
         e = pending.pop()
-        corner = _corner_basis(A, e)
-        if len(corner) == 1:
+        products = _corner_products(A, e)
+        if RowSpace(F, A.dim, products).dim == 1:
             done.append(e)
             certs.append("corner-dim-1")
             continue
-        candidates = [dense_vec(F, A.dim, x) for x in _corner_products(A, e)]
-        candidates += [vec_add(F, u, v)
-                       for i, u in enumerate(candidates[:6])
-                       for v in candidates[i + 1:6]]
+        candidates = products + [axpy(F, dict(u), F.one, v)
+                                 for i, u in enumerate(products[:6])
+                                 for v in products[i + 1:6]]
         split = None
         for x in candidates:
-            if all(F.is_zero(v) for v in x):
-                continue
-            split = _try_split(A, e, x)
-            if split is not None:
-                break
+            if x:
+                split = _try_split(A, e, x)
+                if split is not None:
+                    break
         if split is not None:
             pending.extend(split)
             continue
@@ -190,22 +185,21 @@ def split_semisimple_unit(A: FinAlgebra) -> tuple[list, list]:
                 "cannot split or certify an idempotent as primitive")
         done.append(e)
         certs.append(cert)
-    return done, certs
+    return [dense_vec(F, A.dim, e) for e in done], certs
 
 
-def newton_lift(A: FinAlgebra, x: tuple) -> tuple:
+def newton_lift(A: FinAlgebra, x) -> tuple:
     """Lift an idempotent-mod-radical to an exact one: x <- 3x^2 - 2x^3,
     giving up after dim + 2 steps."""
     F = A.field
     three = F.from_int(3)
-    two = F.from_int(2)
-    cur = x
+    minus_two = F.from_int(-2)
+    cur = sparse_vec(F, x)
     for _ in range(A.dim + 2):
-        sq = A.multiply(cur, cur)
+        sq = bilinear(F, A.mult, cur, cur)
         if sq == cur:
-            return cur
-        cube = A.multiply(sq, cur)
-        cur = vec_sub(F, vec_scale(F, three, sq), vec_scale(F, two, cube))
+            return dense_vec(F, A.dim, cur)
+        cur = axpy(F, axpy(F, {}, three, sq), minus_two, bilinear(F, A.mult, sq, cur))
     raise DecompositionFailed("Newton iteration did not stabilize")
 
 
@@ -224,28 +218,21 @@ def complete_primitive_idempotents(B: FinAlgebra) -> tuple[list, list]:
     bars, certs = split_semisimple_unit(Q)
     # pull back along any linear section of the projection, then lift
     sect = _section_of(proj.matrix)
-    lifted: list[tuple] = []
-    one = tuple(B.unit)
+    lifted: list[dict] = []
+    comp = sparse_vec(F, B.unit)  # 1 minus the lifted family so far
     for ebar in bars:
-        rep = sect.apply(ebar)
-        s = lifted[0] if lifted else None
-        for e in lifted[1:]:
-            s = vec_add(F, s, e)
-        if s is not None:
-            comp = vec_sub(F, one, s)
-            rep = B.multiply(B.multiply(comp, rep), comp)
-        e = newton_lift(B, rep)
+        rep = sparse_vec(F, sect.apply(ebar))
+        if lifted:
+            rep = bilinear(F, B.mult, bilinear(F, B.mult, comp, rep), comp)
+        e = sparse_vec(F, newton_lift(B, rep))
         for prev in lifted:
-            if any(not F.is_zero(v) for v in B.multiply(prev, e)) or \
-               any(not F.is_zero(v) for v in B.multiply(e, prev)):
+            if bilinear(F, B.mult, prev, e) or bilinear(F, B.mult, e, prev):
                 raise DecompositionFailed("lifted family lost orthogonality")
         lifted.append(e)
-    total = tuple([F.zero] * B.dim)
-    for e in lifted:
-        total = vec_add(F, total, e)
-    if total != one:
+        axpy(F, comp, F.neg(F.one), e)
+    if comp:
         raise DecompositionFailed("lifted family does not sum to 1")
-    return lifted, certs
+    return [dense_vec(F, B.dim, e) for e in lifted], certs
 
 
 def _section_of(P: SparseMatrix) -> SparseMatrix:
@@ -269,22 +256,22 @@ def verify_family(B: FinAlgebra, family) -> list:
     F = B.field
     if B.unit is None:
         raise ValidationError("need a unital algebra")
-    total = tuple([F.zero] * B.dim)
-    for e in family:
-        if B.multiply(e, e) != tuple(e):
+    vecs = [sparse_vec(F, e) for e in family]
+    total: dict = {}
+    for e in vecs:
+        if bilinear(F, B.mult, e, e) != e:
             raise ValidationError("proposed element is not idempotent")
-        total = vec_add(F, total, e)
-    if total != tuple(B.unit):
+        axpy(F, total, F.one, e)
+    if total != sparse_vec(F, B.unit):
         raise ValidationError("proposed family does not sum to 1")
-    for i, e in enumerate(family):
-        for f in family[i + 1:]:
-            if any(not F.is_zero(v) for v in B.multiply(e, f)) or \
-               any(not F.is_zero(v) for v in B.multiply(f, e)):
+    for i, e in enumerate(vecs):
+        for f in vecs[i + 1:]:
+            if bilinear(F, B.mult, e, f) or bilinear(F, B.mult, f, e):
                 raise ValidationError("proposed family is not orthogonal")
     Q, proj = quotient_algebra(B, radical(B))
     certs = []
     for e in family:
-        cert = _certify_primitive(Q, proj(tuple(e)))
+        cert = _certify_primitive(Q, sparse_vec(F, proj(tuple(e))))
         if cert is None:
             raise UnsupportedCorner(
                 "cannot certify a proposed idempotent as primitive")

@@ -32,17 +32,8 @@ from .fields import Field
 
 
 # ---------------------------------------------------------------------------
-# vector helpers (vectors are tuples of scalars; sparse_vec and dense_vec
-# convert to and from sparse dicts)
-
-def vec_add(F: Field, x: tuple, y: tuple) -> tuple:
-    return tuple(F.add(a, b) for a, b in zip(x, y))
-
-def vec_sub(F: Field, x: tuple, y: tuple) -> tuple:
-    return tuple(F.sub(a, b) for a, b in zip(x, y))
-
-def vec_scale(F: Field, c, x: tuple) -> tuple:
-    return tuple(F.mul(c, a) for a in x)
+# coordinate tuples at the public API: sparse_vec and dense_vec convert them
+# to and from the sparse dicts that all arithmetic below works on
 
 def basis_vec(F: Field, n: int, i: int) -> tuple:
     return tuple(F.one if j == i else F.zero for j in range(n))

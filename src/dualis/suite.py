@@ -388,7 +388,7 @@ def c09_evaluation_bijective(knobs: SuiteKnobs, rng: Random) -> dict:
     if len(corpus) < knobs.corpus_min:
         _fail("c09", f"corpus too small: {len(corpus)}")
     for n, (label, C) in enumerate(corpus):
-        rep = left_coreflexive_check(C, seed=rng.randrange(1 << 30))
+        rep = left_coreflexive_check(C)
         if not rep.bijective or rep.kernel_rank != 0 or \
                 rep.source_dim != rep.target_dim:
             _fail("c09", "evaluation not bijective", instance=n, label=label)

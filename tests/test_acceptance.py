@@ -5,7 +5,7 @@ wires together, seeded exactly as `dualis suite paper-theorems --seed 0`
 seeds them, so a green gate here matches a passing battery run.  Every
 comparison is exact; there are no tolerances anywhere in the suite.
 Criterion 13 runs the whole battery twice and compares the canonical
-report bytes.
+report bytes.  The randomized suite's seed-0 bytes are pinned beside it.
 """
 
 import hashlib
@@ -105,3 +105,10 @@ def test_criterion_13_reports_byte_identical():
     # updates this digest and says so
     assert hashlib.sha256(first.canonical_json().encode()).hexdigest() == \
         "77a026be88876f35c422252d46519049db47a93d0c16fda3a78442123a2d458d"
+
+
+def test_randomized_report_digest():
+    report = builtin_suite("randomized", seed=0)
+    assert report.passed
+    assert hashlib.sha256(report.canonical_json().encode()).hexdigest() == \
+        "0d19e4510f3024a7372f20798b13a335e5dc0637b9fc8e8b3386b0690fe61d16"

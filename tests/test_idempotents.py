@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from dualis import idempotents
 from dualis.algebra import FinAlgebra, matrix_algebra
 from dualis.combinat import chain_poset, incidence_algebra
 from dualis.errors import DecompositionFailed, ValidationError
@@ -14,7 +15,17 @@ from dualis.idempotents import (
     split_semisimple_unit,
     verify_family,
 )
-from dualis.linalg import basis_vec, vec_add
+from dualis.linalg import basis_vec
+
+
+def vec_add(F, x, y):
+    return tuple(F.add(a, b) for a, b in zip(x, y))
+
+
+def diagonal_algebra(F, n):
+    """F^n with coordinatewise product: n orthogonal idempotents b_i."""
+    return FinAlgebra(F, n, {(i, i): {i: F.one} for i in range(n)},
+                      unit=(F.one,) * n)
 
 
 def cyclic_group_algebra(F, n):
@@ -151,3 +162,61 @@ def test_symmetric_group_rational():
     family, certs = complete_primitive_idempotents(A)
     assert len(family) == 4
     check_family(A, family)
+
+
+# Every certificate check of the splitter, reached on inputs that fail it.
+
+def test_verify_family_rejects_a_non_idempotent():
+    A = diagonal_algebra(QQ, 1)
+    with pytest.raises(ValidationError, match="proposed element is not idempotent"):
+        verify_family(A, [(2,)])
+
+
+def test_verify_family_rejects_a_non_orthogonal_family_summing_to_1():
+    # over F_2, 1 + 1 + 1 = 1, so three copies of 1 pass the sum check;
+    # in characteristic 0 idempotents summing to 1 are always orthogonal
+    A = diagonal_algebra(GF(2), 1)
+    with pytest.raises(ValidationError, match="proposed family is not orthogonal"):
+        verify_family(A, [(1,), (1,), (1,)])
+
+
+def test_split_rejects_a_non_idempotent(monkeypatch):
+    # a polynomial evaluation that returns 2e instead of q(x)
+    honest = idempotents._poly_eval
+    monkeypatch.setattr(idempotents, "_poly_eval",
+                        lambda A, coeffs, x, e: honest(A, [QQ.from_int(2)], x, e))
+    with pytest.raises(DecompositionFailed, match="splitting produced a non-idempotent"):
+        split_semisimple_unit(diagonal_algebra(QQ, 2))
+
+
+def test_split_rejects_a_non_orthogonal_split(monkeypatch):
+    # The first split, of 1, stays honest; the second returns e1 = 1 + e.
+    # Over F_2 both e1 and e - e1 = 1 are idempotent, but e1 * (e - e1) = e1
+    # is not zero when e is a proper idempotent.
+    F = GF(2)
+    honest = idempotents._poly_eval
+    corners = []
+
+    def planted(A, coeffs, x, e):
+        corners.append(e)
+        if len(corners) != 2:
+            return honest(A, coeffs, x, e)
+        return honest(A, [F.one, F.one], e, corners[0])  # 1 + 1 * e
+    monkeypatch.setattr(idempotents, "_poly_eval", planted)
+    with pytest.raises(DecompositionFailed, match="splitting is not orthogonal"):
+        split_semisimple_unit(diagonal_algebra(F, 3))
+
+
+def test_lift_rejects_a_family_that_lost_orthogonality(monkeypatch):
+    # a lift that returns 1 for every idempotent of the quotient
+    monkeypatch.setattr(idempotents, "newton_lift", lambda B, x: B.unit)
+    with pytest.raises(DecompositionFailed, match="lifted family lost orthogonality"):
+        complete_primitive_idempotents(matrix_algebra(QQ, 2))
+
+
+def test_lift_rejects_a_family_that_does_not_sum_to_1(monkeypatch):
+    # a lift that returns 0 keeps the family orthogonal but sums to 0
+    monkeypatch.setattr(idempotents, "newton_lift",
+                        lambda B, x: (B.field.zero,) * B.dim)
+    with pytest.raises(DecompositionFailed, match="lifted family does not sum to 1"):
+        complete_primitive_idempotents(matrix_algebra(QQ, 2))

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 
+from dualis import reflexivity
 from dualis.algebra import FinAlgebra
 from dualis.coalgebra import FinCoalgebra, comatrix, dual_algebra, dual_coalgebra
 from dualis.combinat import FiniteTemplate, Quiver, make_template, path_coalgebra
@@ -15,6 +17,7 @@ from dualis.errors import (
 from dualis.fields import GF, QQ
 from dualis.finite_dual import group_bialgebra
 from dualis.linalg import basis_vec
+from dualis.randgen import rand_coalgebra
 from dualis.reflexivity import (
     counit_from_decomposition,
     decompose_injectives,
@@ -131,6 +134,47 @@ def test_evaluation_is_identity_and_bijective():
         assert rep.bijective
         assert rep.kernel_rank == 0
         assert rep.source_dim == rep.target_dim == C.dim
+
+
+def convolution(C, f, g):
+    """(f*g)(c_k) = sum over delta(c_k) of f(c_i) g(c_j), by a plain loop."""
+    F = C.field
+    out = []
+    for k in range(C.dim):
+        s = F.zero
+        for (i, j), v in C.comult.get(k, {}).items():
+            s = F.add(s, F.mul(v, F.mul(f[i], g[j])))
+        out.append(s)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("F", [QQ, GF(101)], ids=["q", "fp101"])
+@pytest.mark.parametrize("counital", [True, False])
+def test_dual_product_is_convolution_on_every_basis_pair(F, counital):
+    rng = Random(f"convolution:{F.characteristic}:{counital}")
+    for _ in range(20):
+        C = rand_coalgebra(F, rng, max_dim=5, counital=counital)
+        B = dual_algebra(C)
+        for a in range(C.dim):
+            for b in range(C.dim):
+                f, g = basis_vec(F, C.dim, a), basis_vec(F, C.dim, b)
+                assert B.multiply(f, g) == convolution(C, f, g)
+
+
+def test_evaluation_rejects_a_tampered_double_dual(monkeypatch):
+    # grouplikes without a counit; doubling delta(g_0) keeps the target a
+    # coassociative coalgebra, so only the morphism check can catch it
+    C = FinCoalgebra(QQ, 2, {0: {(0, 0): 1}, 1: {(1, 1): 1}})
+    honest = reflexivity.dual_coalgebra
+
+    def tampered(B):
+        D = honest(B)
+        comult = {k: dict(terms) for k, terms in D.comult.items()}
+        comult[0][(0, 0)] = 2
+        return FinCoalgebra(D.field, D.dim, comult, D.counit)
+    monkeypatch.setattr(reflexivity, "dual_coalgebra", tampered)
+    with pytest.raises(ValidationError, match="morphism not multiplicative"):
+        phi_l(C)
 
 
 def test_module_transport_round_trips():
