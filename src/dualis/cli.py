@@ -10,8 +10,9 @@ Verbs:
     coreflexive  evaluation-map bijectivity for a coalgebra
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 input error (bad file,
-bad reference, malformed block, unusable flag value).  --trials, --max-dim,
---radius and --bound take nonnegative integers only.
+bad reference, malformed block, unusable flag value, a flag the verb does
+not read).  --trials, --max-dim, --radius and --bound take nonnegative
+integers only.
 """
 
 from __future__ import annotations
@@ -48,11 +49,6 @@ def _nonnegative(text: str) -> int:
 
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", default=None, metavar="q|fp:<p>",
-                        help="ground field, where the verb takes one")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--radius", type=_nonnegative, default=3)
-    common.add_argument("--bound", type=_nonnegative, default=64)
     common.add_argument("--json", action="store_true",
                         help="emit the machine report instead of text")
 
@@ -64,6 +60,7 @@ def _parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", parents=[common],
                          help="execute all checks in a spec document")
     run.add_argument("spec", help="path to a JSON spec document")
+    run.add_argument("--seed", type=int, default=0)
     run.add_argument("--out", metavar="PATH",
                      help="also write the machine report to PATH")
     run.add_argument("--timings", action="store_true",
@@ -72,6 +69,9 @@ def _parser() -> argparse.ArgumentParser:
     suite = sub.add_parser("suite", parents=[common],
                            help="run a built-in battery")
     suite.add_argument("name", choices=["paper-theorems", "randomized"])
+    suite.add_argument("--seed", type=int, default=0)
+    suite.add_argument("--field", default=None, metavar="q|fp:<p>",
+                       help="randomized suite: ground field")
     suite.add_argument("--out", metavar="PATH")
     suite.add_argument("--timings", action="store_true")
     suite.add_argument("--trials", type=_nonnegative, default=50,
@@ -94,6 +94,8 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("template", help='"line" | "ray" | "loop" | "star:<k>"')
     sp.add_argument("--side", choices=["left", "right", "both"],
                     default="both")
+    sp.add_argument("--radius", type=_nonnegative, default=3)
+    sp.add_argument("--bound", type=_nonnegative, default=64)
     return p
 
 

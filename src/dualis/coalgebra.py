@@ -128,20 +128,22 @@ def compose_coalgebra(g: CoalgebraMorphism, f: CoalgebraMorphism) -> CoalgebraMo
 # ---------------------------------------------------------------------------
 # counitalization
 
+def _adjoin_counit(C: FinCoalgebra) -> tuple[dict, tuple]:
+    """The comult and counit tables of counitalize(C), unvalidated.  C's keys
+    stop below the new grouplike e = c_dim, so every entry added is fresh."""
+    F = C.field
+    n = C.dim
+    comult = {k: {**C.comult.get(k, {}), (k, n): F.one, (n, k): F.one} for k in range(n)}
+    comult[n] = {(n, n): F.one}
+    return comult, tuple([F.zero] * n + [F.one])
+
+
 def counitalize(C: FinCoalgebra) -> tuple[FinCoalgebra, CoalgebraMorphism]:
     """Adjoin a grouplike e: delta(c) gains c(x)e + e(x)c, and eps picks the
     e-coordinate.  Returns the enlarged coalgebra and the projection killing e."""
     F = C.field
     n = C.dim
-    comult = {}
-    for k in range(n):
-        terms = dict(C.comult.get(k, {}))
-        terms[(k, n)] = F.add(terms.get((k, n), F.zero), F.one)
-        terms[(n, k)] = F.add(terms.get((n, k), F.zero), F.one)
-        comult[k] = terms
-    comult[n] = {(n, n): F.one}
-    counit = tuple([F.zero] * n + [F.one])
-    C1 = FinCoalgebra(F, n + 1, comult, counit)
+    C1 = FinCoalgebra(F, n + 1, *_adjoin_counit(C))
     proj = CoalgebraMorphism(C1, C, SparseMatrix(F, n, n + 1, {(i, i): F.one for i in range(n)}))
     return C1, proj
 
@@ -187,14 +189,18 @@ def _trusted(cls, *values):
     """An instance of cls built from values, one per field, unvalidated.
 
     The one rule for what gets validated: every FinAlgebra, FinCoalgebra,
-    FinModule, FinComodule and morphism is certified.  Its constructor
-    validated it, or it was built here from a certified input as (i) that
-    input's transpose, whose axioms are the input's read backwards, or
-    (ii) its transport along an invertible P whose morphism check runs right
-    after, since a structure-preserving bijection carries every axiom
-    across.  Each call site's docstring names which.  Constructors that take
-    outside input (comatrix, matrix_algebra, unitalize, counitalize, spec
-    parsing) always validate.
+    FinModule, FinComodule, FinBialgebra and morphism is certified once.
+    Its constructor validated it, or it was built from a certified input as
+    (i) that input's transpose, whose axioms are the input's read backwards
+    (dual_algebra, dual_coalgebra, comatrix_cover, comodule_to_dual_module,
+    module_to_comodule, bialgebra_dual, unital_dual_compat, the coalgebra
+    maps of verify_pathdual_iso and verify_incidencedual_iso), or (ii) its
+    transport along an invertible P whose morphism check runs right after,
+    since a structure-preserving bijection carries every axiom across
+    (randgen's conjugate_coalgebra and conjugate_algebra; with P = identity,
+    dual_unitalization_iso).  Each call site's docstring says "Trusted (i)"
+    or "Trusted (ii)".  Constructors that take outside input (comatrix,
+    matrix_algebra, unitalize, counitalize, spec parsing) always validate.
     """
     obj = object.__new__(cls)
     for f, v in zip(fields(cls), values, strict=True):
@@ -217,14 +223,16 @@ def dual_coalgebra(A: FinAlgebra) -> FinCoalgebra:
 
 def dual_unitalization_iso(C: FinCoalgebra) -> AlgebraMorphism:
     """Unitalizing the dual equals dualizing the counitalization; under
-    dual-basis indexing the isomorphism is the identity matrix."""
+    dual-basis indexing the isomorphism is the identity matrix.
+
+    Trusted (ii), P = identity: the counitalization C1 is built unvalidated,
+    and the check against the validated unitalization B1 compares the tables
+    entry by entry and unit with counit, so C1 carries B1's axioms.
+    """
     B1, _ = unitalize(dual_algebra(C))
-    C1, _ = counitalize(C)
-    D = dual_algebra(C1)
-    iso = AlgebraMorphism(B1, D, SparseMatrix.identity(C.field, C.dim + 1), unital=True)
-    if not iso.is_bijective():
-        raise ValidationError("unitalization/dual comparison is not bijective")
-    return iso
+    C1 = _trusted(FinCoalgebra, C.field, C.dim + 1, *_adjoin_counit(C))
+    return AlgebraMorphism(B1, dual_algebra(C1), SparseMatrix.identity(C.field, C.dim + 1),
+                           unital=True)
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,10 @@ from .algebra import FinAlgebra
 from .coalgebra import (
     CoalgebraMorphism,
     FinCoalgebra,
-    counitalize,
+    _trusted,
     dual_algebra,
     dual_coalgebra,
-    unitalize,
+    dual_unitalization_iso,
 )
 from .errors import (
     DimensionMismatch,
@@ -67,7 +67,7 @@ class GradedAlgebra:
     mult[(key1, key2)][key3] the structure constant; output degrees must add.
     truncated means products of total degree beyond the last stored one were
     dropped (a quotient, still associative) rather than genuinely zero.
-    Associativity and the unit law are checked on the flattened FinAlgebra.
+    The flattened FinAlgebra (as_fin_algebra) is validated once, here.
     """
 
     field: Field
@@ -104,7 +104,11 @@ class GradedAlgebra:
                 if not ok(k) or k[0] != 0:
                     raise ValidationError("unit must live in degree 0")
             object.__setattr__(self, "unit", u)
-        self.as_fin_algebra()
+        index = {key: n for n, key in enumerate(self.basis_keys())}
+        mult = {(index[k1], index[k2]): {index[k3]: v for k3, v in terms.items()}
+                for (k1, k2), terms in self.mult.items()}
+        unit = None if self.unit is None else tuple(self.unit.get(k, F.zero) for k in index)
+        object.__setattr__(self, "_flat", (FinAlgebra(F, self.total_dim, mult, unit), index))
 
     @property
     def max_degree(self) -> int:
@@ -129,18 +133,9 @@ class GradedAlgebra:
         return bilinear(self.field, self.mult, x, y)
 
     def as_fin_algebra(self) -> tuple[FinAlgebra, dict]:
-        """Flatten to a FinAlgebra; returns it plus the key -> index map."""
-        index = {key: n for n, key in enumerate(self.basis_keys())}
-        mult = {}
-        for (k1, k2), terms in self.mult.items():
-            mult[(index[k1], index[k2])] = {index[k3]: v for k3, v in terms.items()}
-        unit = None
-        if self.unit is not None:
-            u = [self.field.zero] * self.total_dim
-            for k, v in self.unit.items():
-                u[index[k]] = v
-            unit = tuple(u)
-        return FinAlgebra(self.field, self.total_dim, mult, unit), index
+        """The FinAlgebra validated at construction, and the key -> index map."""
+        A, index = self._flat
+        return A, dict(index)
 
 
 def polynomial_algebra(F: Field, max_degree: int) -> GradedAlgebra:
@@ -441,15 +436,15 @@ def finite_dual_findim(A: FinAlgebra) -> FinCoalgebra:
 
 def unital_dual_compat(A: FinAlgebra) -> CoalgebraMorphism:
     """Dualizing the unitalization equals counitalizing the dual; under
-    dual-basis indexing the comparison map is the identity."""
-    A1, _ = unitalize(A)
-    lhs = finite_dual_findim(A1)
-    rhs, _ = counitalize(finite_dual_findim(A))
-    iso = CoalgebraMorphism(lhs, rhs, SparseMatrix.identity(A.field, A.dim + 1),
-                            counital=True)
-    if not iso.is_bijective():
-        raise ValidationError("unitalization/dual comparison is not bijective")
-    return iso
+    dual-basis indexing the comparison map is the identity.
+
+    Trusted (i): the transpose of iso = dual_unitalization_iso(A*).  Its
+    matrix, the identity, is its own inverse, so the check iso passed (equal
+    tables, unit to counit) is this map's check read backwards.
+    """
+    iso = dual_unitalization_iso(dual_coalgebra(A))
+    return _trusted(CoalgebraMorphism, dual_coalgebra(iso.source), dual_coalgebra(iso.target),
+                    iso.matrix, True)
 
 
 @dataclass(frozen=True)
@@ -527,9 +522,14 @@ class FinBialgebra:
 
 
 def bialgebra_dual(H: FinBialgebra) -> FinBialgebra:
-    """Transpose everything; exact in finite dimension."""
+    """Transpose everything; exact in finite dimension.
+
+    Trusted (i): the transpose of H.  The bialgebra axioms are self-dual
+    (delta(ab) = delta(a)delta(b), the (co)unit laws and m(S (x) id)delta =
+    eta eps transpose to themselves), so H's validation covers its dual.
+    """
     S = H.antipode.transpose() if H.antipode is not None else None
-    return FinBialgebra(dual_algebra(H.coalgebra), dual_coalgebra(H.algebra), S)
+    return _trusted(FinBialgebra, dual_algebra(H.coalgebra), dual_coalgebra(H.algebra), S)
 
 
 def group_bialgebra(F: Field, table, inverses) -> FinBialgebra:

@@ -154,6 +154,23 @@ def test_negative_count_flags_exit_two_before_any_work(argv, capsys):
     assert "nonnegative integer" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["coreflexive", "SPEC", "--object", "mat2", "--seed", "1"],
+    ["dualize", "SPEC", "--object", "mat2", "--seed", "1"],
+    ["unitalize", "SPEC", "--object", "nilp", "--field", "q"],
+    ["counitalize", "SPEC", "--object", "mat2", "--radius", "2"],
+    ["semiperfect", "ray", "--seed", "1"],
+    ["run", "SPEC", "--bound", "3"],
+], ids=["coreflexive-seed", "dualize-seed", "unitalize-field", "counitalize-radius",
+        "semiperfect-seed", "run-bound"])
+def test_flags_a_verb_does_not_read_exit_two(argv, spec_path, capsys):
+    argv = [spec_path if a == "SPEC" else a for a in argv]
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in captured.err
+
+
 def test_zero_count_flags_keep_their_meaning(capsys):
     assert main(["semiperfect", "ray", "--side", "right", "--radius", "0",
                  "--bound", "0"]) == 1

@@ -9,9 +9,12 @@ whose dual is the dual numbers K[t]/(t^2).
 """
 
 from fractions import Fraction
+from random import Random
 
 import pytest
 
+from dualis import coalgebra
+from dualis.algebra import unitalize
 from dualis.coalgebra import (
     CoalgebraMorphism,
     FinCoalgebra,
@@ -29,7 +32,7 @@ from dualis.coalgebra import (
 from dualis.errors import ValidationError
 from dualis.fields import GF, QQ
 from dualis.linalg import SparseMatrix, basis_vec
-from dualis.randgen import divided_power_coalgebra
+from dualis.randgen import divided_power_coalgebra, rand_coalgebra
 
 
 def pointed2(F):
@@ -100,9 +103,46 @@ def test_counital_lift_nonzero_map():
 
 def test_dual_unitalization_iso_small():
     for F in (QQ, GF(101)):
-        iso = dual_unitalization_iso(pointed2(F))
+        C = pointed2(F)
+        iso = dual_unitalization_iso(C)
         assert iso.is_bijective()
         assert iso.unital
+        # both sides equal the validated constructions
+        assert iso.source == unitalize(dual_algebra(C))[0]
+        assert iso.target == dual_algebra(counitalize(C)[0])
+
+
+def _moved(F, comult: dict, k, ij) -> dict:
+    """A copy of comult with entry comult[k][ij] moved by one."""
+    out = {key: dict(terms) for key, terms in comult.items()}
+    out.setdefault(k, {})[ij] = F.add(out[k].get(ij, F.zero), F.one)
+    return out
+
+
+@pytest.mark.parametrize("F", [QQ, GF(101)], ids=["q", "fp101"])
+@pytest.mark.parametrize("counital", [True, False])
+def test_dual_unitalization_iso_rejects_a_changed_counitalization(F, counital, monkeypatch):
+    # the adjoined-counit table is built unvalidated, so the identity check
+    # against the unitalized dual must see every entry and the counit
+    rng = Random(f"counitalization:{F.name()}:{counital}")
+    honest = coalgebra._adjoin_counit
+    for _ in range(4):
+        C = rand_coalgebra(F, rng, max_dim=3, counital=counital)
+        comult, counit = honest(C)
+        n = C.dim + 1
+        changes = [(k, ij) for k, terms in sorted(comult.items()) for ij in sorted(terms)]
+        changes += [(rng.randrange(n), (rng.randrange(n), rng.randrange(n))) for _ in range(5)]
+        bad_counit = list(counit)
+        i = rng.randrange(n)
+        bad_counit[i] = F.add(bad_counit[i], F.one)
+        tables = [(_moved(F, comult, k, ij), counit) for k, ij in changes]
+        tables.append((comult, tuple(bad_counit)))
+        for table in tables:
+            monkeypatch.setattr(coalgebra, "_adjoin_counit", lambda _, t=table: t)
+            with pytest.raises(ValidationError):
+                dual_unitalization_iso(C)
+        monkeypatch.setattr(coalgebra, "_adjoin_counit", honest)
+        dual_unitalization_iso(C)
 
 
 def test_comatrix2_structure():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from dualis.coalgebra import CoalgebraMorphism
 from dualis.combinat import (
     FiniteTemplate,
     LineTemplate,
@@ -89,13 +90,20 @@ def test_path_coalgebra_a3():
     assert C.counit == (F.one, F.one, F.one, F.zero, F.zero, F.zero)
 
 
+def _revalidated(coalg: CoalgebraMorphism) -> CoalgebraMorphism:
+    """The full constructor run on a (possibly trusted) coalgebra map."""
+    return CoalgebraMorphism(coalg.source, coalg.target, coalg.matrix, coalg.counital)
+
+
 def test_pathdual_iso_a3_and_kronecker():
     for F in (QQ, GF(101)):
         alg, coalg = verify_pathdual_iso(F, A3)
         assert alg.is_bijective() and coalg.is_bijective()
+        assert _revalidated(coalg) == coalg
     kron = Quiver((0, 1), ((0, 1), (0, 1)))
     alg, coalg = verify_pathdual_iso(QQ, kron)
     assert alg.source.dim == 4
+    assert _revalidated(coalg) == coalg
 
 
 def test_pathdual_iso_truncated_loop():
@@ -125,6 +133,7 @@ def test_incidencedual_iso_assorted():
     for P in (chain_poset(3), antichain_poset(3), v_poset):
         alg, coalg = verify_incidencedual_iso(QQ, P)
         assert alg.is_bijective() and coalg.is_bijective()
+        assert _revalidated(coalg) == coalg
 
 
 def test_poset_validation():

@@ -3,8 +3,9 @@ delta factorization, coefficient functions, bialgebra duals, recurrences."""
 
 import pytest
 
-from dualis.algebra import FinAlgebra, matrix_algebra
-from dualis.coalgebra import comatrix
+from dualis import algebra
+from dualis.algebra import FinAlgebra, matrix_algebra, unitalize
+from dualis.coalgebra import CoalgebraMorphism, comatrix, counitalize, dual_coalgebra
 from dualis.errors import (
     IncompatibleStructure,
     InsufficientData,
@@ -184,13 +185,32 @@ def test_coefficient_functions_reject_non_rep():
 def test_unital_dual_compat_null_and_ut2():
     F = QQ
     null = FinAlgebra(F, 1, {})
-    iso = unital_dual_compat(null)
-    assert iso.is_bijective() and iso.counital
     mult = {(0, 0): {0: F.one}, (0, 1): {1: F.one},
             (1, 2): {1: F.one}, (2, 2): {2: F.one}}
     ut2 = FinAlgebra(F, 3, mult, (F.one, F.zero, F.one))
-    iso = unital_dual_compat(ut2)
-    assert iso.source.dim == 4
+    for A in (null, ut2):
+        iso = unital_dual_compat(A)
+        assert iso.is_bijective() and iso.counital
+        assert iso.source.dim == A.dim + 1
+        # the validated constructions, and the full morphism check, agree
+        assert iso.source == dual_coalgebra(unitalize(A)[0])
+        assert iso.target == counitalize(dual_coalgebra(A))[0]
+        assert CoalgebraMorphism(iso.source, iso.target, iso.matrix, iso.counital) == iso
+
+
+def test_graded_algebra_validates_its_table_once(monkeypatch):
+    calls = []
+    real = algebra.check_associative
+    monkeypatch.setattr(algebra, "check_associative",
+                        lambda *args: calls.append(1) or real(*args))
+    G = polynomial_algebra(QQ, 5)
+    assert len(calls) == 1
+    A, index = G.as_fin_algebra()
+    assert len(calls) == 1
+    assert index == {(d, 0): d for d in range(6)}
+    monkeypatch.undo()
+    assert A == FinAlgebra(QQ, 6, A.mult, A.unit)
+    assert A.basis_product(2, 3) == {5: QQ.one}
 
 
 def test_group_bialgebra_z2():

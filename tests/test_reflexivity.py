@@ -17,7 +17,7 @@ from dualis.errors import (
 from dualis.fields import GF, QQ
 from dualis.finite_dual import group_bialgebra
 from dualis.linalg import basis_vec
-from dualis.randgen import rand_coalgebra
+from dualis.randgen import conjugate_coalgebra, rand_coalgebra, rand_invertible
 from dualis.reflexivity import (
     counit_from_decomposition,
     decompose_injectives,
@@ -152,8 +152,15 @@ def convolution(C, f, g):
 @pytest.mark.parametrize("counital", [True, False])
 def test_dual_product_is_convolution_on_every_basis_pair(F, counital):
     rng = Random(f"convolution:{F.characteristic}:{counital}")
-    for _ in range(20):
-        C = rand_coalgebra(F, rng, max_dim=5, counital=counital)
+    cases = [rand_coalgebra(F, rng, max_dim=5, counital=counital) for _ in range(20)]
+    # rand_coalgebra draws only cocommutative non-counital coalgebras, on
+    # which a product read from delta transposed is the same table; the 2x2
+    # comatrix table, with or without its counit, is not cocommutative
+    M = comatrix(F, 2)
+    M = FinCoalgebra(F, M.dim, M.comult, M.counit if counital else None)
+    cases += [M] + [conjugate_coalgebra(M, rand_invertible(F, rng, M.dim))[0]
+                    for _ in range(5)]
+    for C in cases:
         B = dual_algebra(C)
         for a in range(C.dim):
             for b in range(C.dim):

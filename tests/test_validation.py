@@ -3,11 +3,15 @@ table, the duals, which skip re-validation, equal the validated build, and
 the coalgebra-side constructors, which check their axioms through the dual,
 agree with plain loops over the coalgebra-side axioms."""
 
+import ast
 import json
+import re
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import dualis
 from dualis.algebra import AlgebraMorphism, FinAlgebra
 from dualis.combinat import path_algebra
 from dualis.coalgebra import (
@@ -169,6 +173,25 @@ def test_duals_equal_the_validated_construction(F):
                                        H.coalgebra.counit)
         assert D.coalgebra == FinCoalgebra(F, H.dim, transpose_mult(H.algebra.mult),
                                            H.algebra.unit)
+        assert FinBialgebra(D.algebra, D.coalgebra, D.antipode) == D
+
+
+def test_every_trusted_site_names_its_rule():
+    # a function that builds through _trusted skips its constructor's checks,
+    # so its docstring must say which certificate stands in for them
+    sites, untagged = [], []
+    for path in sorted(Path(dualis.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            if any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_trusted"
+                   for node in ast.walk(fn)):
+                sites.append(f"{path.name}:{fn.name}")
+                if not re.search(r"Trusted \((i|ii)\)", ast.get_docstring(fn) or ""):
+                    untagged.append(sites[-1])
+    assert {"coalgebra.py:dual_algebra", "combinat.py:_dual_iso",
+            "finite_dual.py:bialgebra_dual"} <= set(sites)
+    assert untagged == []
 
 
 # ---------------------------------------------------------------------------
