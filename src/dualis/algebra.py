@@ -8,7 +8,7 @@ adjoining one is the job of unitalize.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import (
     DimensionMismatch,
@@ -27,6 +27,36 @@ from .linalg import (
     prune,
     sparse_vec,
 )
+
+
+def _trusted(cls, *values):
+    """An instance of cls built from values, one per field, unvalidated.
+
+    The one rule for what gets validated: every FinAlgebra, FinCoalgebra,
+    FinModule, FinComodule, FinBialgebra, SubspaceIdeal and morphism is
+    certified once.  Its constructor validated it, or it was built from a
+    certified input as (i) that input's transpose, whose axioms are the
+    input's read backwards (dual_algebra, dual_coalgebra, comatrix_cover,
+    comodule_to_dual_module, module_to_comodule, bialgebra_dual,
+    unital_dual_compat, the coalgebra maps of verify_pathdual_iso and
+    verify_incidencedual_iso), or (ii) the target of a map P whose morphism
+    check runs right after: a surjective P carries every axiom of its source
+    to its image, and its kernel is a two-sided ideal (quotient_algebra, whose
+    projection is onto by construction, with _radical_quotient's radical as
+    its kernel; randgen's conjugate_coalgebra and conjugate_algebra; with
+    P = identity, dual_unitalization_iso).  decompose_injectives re-checks
+    nothing, by (i): its hit operators are the idempotents of C* acting
+    through the transpose of C's coaction, so C's coassociativity and counit
+    axioms make them multiply and sum as the idempotents do, and their images
+    coideals; complete_primitive_idempotents and verify_family certify the
+    family.  Each call site's docstring says "Trusted (i)" or "Trusted (ii)".
+    Constructors that take outside input (comatrix, matrix_algebra,
+    unitalize, counitalize, SubspaceIdeal, spec parsing) always validate.
+    """
+    obj = object.__new__(cls)
+    for f, v in zip(fields(cls), values, strict=True):
+        object.__setattr__(obj, f.name, v)
+    return obj
 
 
 def check_associative(F: Field, mult: dict, action: dict) -> None:
@@ -274,22 +304,34 @@ def ideal_closure(A: FinAlgebra, seed_vectors, sided: str = "two") -> SubspaceId
     return SubspaceIdeal(A, tuple(rs.basis()), sided)
 
 
+def _complement_projection(A: FinAlgebra, basis) -> tuple[list, object]:
+    """The echelon complement of span(basis), indices comp, and the map
+    sending a vector to the comp coordinates of its residual mod the span."""
+    rs = RowSpace(A.field, A.dim, basis)
+    pivots = set(rs.pivots())
+    comp = [c for c in range(A.dim) if c not in pivots]
+
+    def project(vec) -> tuple:
+        res = rs.residual(vec)
+        return tuple(res[c] for c in comp)
+    return comp, project
+
+
 def quotient_algebra(A: FinAlgebra, I: SubspaceIdeal) -> tuple[FinAlgebra, AlgebraMorphism]:
-    """Quotient by a two-sided ideal, on the echelon complement of its basis."""
+    """Quotient by a two-sided ideal, on the echelon complement of its basis.
+
+    Trusted (ii): Q is built unvalidated and the projection's morphism check
+    certifies it.  The projection sends b_c to the c-th basis vector of Q for
+    each complement index c, so it is onto: Q inherits A's associativity and
+    unit, and span(I), its kernel, is two-sided.
+    """
     if I.ambient != A:
         raise ValidationError("ideal belongs to a different algebra")
     if I.sided != "two":
         raise NotTwoSided("quotient requires a two-sided ideal")
     F = A.field
-    rs = RowSpace(F, A.dim, I.basis)
-    pivots = set(rs.pivots())
-    comp = [c for c in range(A.dim) if c not in pivots]
+    comp, project = _complement_projection(A, I.basis)
     q = len(comp)
-
-    def project(vec) -> tuple:
-        res = rs.residual(vec)
-        return tuple(res[c] for c in comp)
-
     mult = {}
     for a, ca in enumerate(comp):
         for b, cb in enumerate(comp):
@@ -297,32 +339,19 @@ def quotient_algebra(A: FinAlgebra, I: SubspaceIdeal) -> tuple[FinAlgebra, Algeb
             if terms:
                 mult[(a, b)] = terms
     unit = project(A.unit) if A.unit is not None else None
-    Q = FinAlgebra(F, q, mult, unit)
-    ent = {}
-    for i in range(A.dim):
-        col = project({i: F.one})
-        for r, v in enumerate(col):
-            if not F.is_zero(v):
-                ent[(r, i)] = v
-    proj = AlgebraMorphism(A, Q, SparseMatrix(F, q, A.dim, ent))
-    return Q, proj
+    Q = _trusted(FinAlgebra, F, q, mult, unit)
+    columns = [project({i: F.one}) for i in range(A.dim)]
+    return Q, AlgebraMorphism(A, Q, SparseMatrix.from_rows(F, columns, q).transpose())
 
 
 def cofinite_two_sided_inside(A: FinAlgebra, I: SubspaceIdeal) -> SubspaceIdeal:
-    """Two-sided ideal I âˆ© Ker(phi) inside a left ideal I, where phi is the
+    """Two-sided ideal I ∩ Ker(phi) inside a left ideal I, where phi is the
     representation of A on the left module A/I."""
     if I.sided not in ("left", "two"):
         raise ValidationError("expected a left ideal")
     F = A.field
-    rs = RowSpace(F, A.dim, I.basis)
-    pivots = set(rs.pivots())
-    comp = [c for c in range(A.dim) if c not in pivots]
+    comp, project = _complement_projection(A, I.basis)
     q = len(comp)
-
-    def project(vec) -> tuple:
-        res = rs.residual(vec)
-        return tuple(res[c] for c in comp)
-
     # column i of the big matrix is phi(b_i) flattened (q*q entries)
     ent = {}
     for i in range(A.dim):
@@ -331,19 +360,14 @@ def cofinite_two_sided_inside(A: FinAlgebra, I: SubspaceIdeal) -> SubspaceIdeal:
             for r, v in enumerate(col):
                 if not F.is_zero(v):
                     ent[(r * q + c, i)] = v
-    phi = SparseMatrix(F, q * q, A.dim, ent)
-    ker = phi.kernel_basis()
-    inter = intersect_spans(F, list(I.basis), ker, A.dim)
-    J = SubspaceIdeal(A, tuple(inter), "two")
-    for v in J.basis:
-        if not rs.contains(v):
-            raise ValidationError("result escaped the given left ideal")
-    return J
+    ker = SparseMatrix(F, q * q, A.dim, ent).kernel_basis()
+    return SubspaceIdeal(A, tuple(intersect_spans(F, list(I.basis), ker, A.dim)), "two")
 
 
-def radical(A: FinAlgebra) -> SubspaceIdeal:
-    """Jacobson radical via the trace form of left multiplication on the
-    unitalization.  Requires characteristic 0 or p > dim(A) + 1."""
+def _radical_quotient(A: FinAlgebra) -> tuple[SubspaceIdeal, FinAlgebra, AlgebraMorphism]:
+    """The Jacobson radical rad, the semisimple quotient A/rad and its
+    projection.  Trusted (ii): rad is built unvalidated, and certified
+    two-sided as the kernel of the projection quotient_algebra checks."""
     F = A.field
     p = F.characteristic
     if p != 0 and p <= A.dim + 1:
@@ -364,7 +388,7 @@ def radical(A: FinAlgebra) -> SubspaceIdeal:
         if not F.is_zero(s):
             ent[(i, j)] = s
     G = SparseMatrix(F, n, n, ent)
-    rad = SubspaceIdeal(A, tuple(G.kernel_basis()), "two")
+    rad = _trusted(SubspaceIdeal, A, tuple(RowSpace(F, n, G.kernel_basis()).basis()), "two")
     # nilpotency certificate: powers of the radical reach zero
     power = gens = [sparse_vec(F, b) for b in rad.basis]
     steps = 0
@@ -377,4 +401,11 @@ def radical(A: FinAlgebra) -> SubspaceIdeal:
             for y in gens:
                 nxt.add(bilinear(F, A.mult, x, y))
         power = [sparse_vec(F, b) for b in nxt.basis()]
-    return rad
+    Q, proj = quotient_algebra(A, rad)
+    return rad, Q, proj
+
+
+def radical(A: FinAlgebra) -> SubspaceIdeal:
+    """Jacobson radical via the trace form of left multiplication on the
+    unitalization.  Requires characteristic 0 or p > dim(A) + 1."""
+    return _radical_quotient(A)[0]

@@ -11,11 +11,12 @@ so each axiom is stated once, in algebra.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .algebra import (
     AlgebraMorphism,
     FinAlgebra,
+    _trusted,
     radical,
     regular_matrix_embedding,
     unitalize,
@@ -184,29 +185,6 @@ def counital_lift(f: CoalgebraMorphism, C1: FinCoalgebra, proj: CoalgebraMorphis
 
 # ---------------------------------------------------------------------------
 # duals
-
-def _trusted(cls, *values):
-    """An instance of cls built from values, one per field, unvalidated.
-
-    The one rule for what gets validated: every FinAlgebra, FinCoalgebra,
-    FinModule, FinComodule, FinBialgebra and morphism is certified once.
-    Its constructor validated it, or it was built from a certified input as
-    (i) that input's transpose, whose axioms are the input's read backwards
-    (dual_algebra, dual_coalgebra, comatrix_cover, comodule_to_dual_module,
-    module_to_comodule, bialgebra_dual, unital_dual_compat, the coalgebra
-    maps of verify_pathdual_iso and verify_incidencedual_iso), or (ii) its
-    transport along an invertible P whose morphism check runs right after,
-    since a structure-preserving bijection carries every axiom across
-    (randgen's conjugate_coalgebra and conjugate_algebra; with P = identity,
-    dual_unitalization_iso).  Each call site's docstring says "Trusted (i)"
-    or "Trusted (ii)".  Constructors that take outside input (comatrix,
-    matrix_algebra, unitalize, counitalize, spec parsing) always validate.
-    """
-    obj = object.__new__(cls)
-    for f, v in zip(fields(cls), values, strict=True):
-        object.__setattr__(obj, f.name, v)
-    return obj
-
 
 def dual_algebra(C: FinCoalgebra) -> FinAlgebra:
     """Convolution algebra on the dual basis; unital exactly when C is

@@ -5,7 +5,7 @@ when p ends where q starts.  With that convention the dual of the path
 coalgebra of a finite acyclic quiver IS the path algebra on the nose (the
 comparison matrix is the identity), and likewise for incidence structures.
 verify_pathdual_iso and verify_incidencedual_iso certify it by one morphism
-check, A -> C*, and return its transpose C -> A* too (coalgebra._trusted).
+check, A -> C*, and return its transpose C -> A* too (algebra._trusted).
 
 Infinite shapes (the integer line, a ray, stars, a loop) are templates: they
 answer local arrow queries and truncate to finite quivers, and
@@ -21,8 +21,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import AlgebraMorphism, FinAlgebra
-from .coalgebra import CoalgebraMorphism, FinCoalgebra, _trusted, dual_algebra, dual_coalgebra
+from .algebra import AlgebraMorphism, FinAlgebra, _trusted
+from .coalgebra import CoalgebraMorphism, FinCoalgebra, dual_algebra, dual_coalgebra
 from .errors import NotAcyclic, ValidationError
 from .fields import Field
 from .finite_dual import CancelToken, GradedAlgebra

@@ -18,8 +18,8 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .algebra import FinAlgebra, check_associative, multiples
-from .coalgebra import FinCoalgebra, _trusted, counitalize, dual_algebra, dual_coalgebra
+from .algebra import FinAlgebra, _trusted, check_associative, multiples
+from .coalgebra import FinCoalgebra, counitalize, dual_algebra, dual_coalgebra
 from .errors import DimensionMismatch, ValidationError
 from .fields import Field
 from .linalg import (RowSpace, SparseMatrix, axpy, basis_vec, bilinear, dense_vec, prune,

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FinAlgebra
+from .algebra import FinAlgebra, _trusted
 from .coalgebra import (
     CoalgebraMorphism,
     FinCoalgebra,
-    _trusted,
     dual_algebra,
     dual_coalgebra,
     dual_unitalization_iso,
@@ -340,19 +339,18 @@ def delta_of_functional(G: GradedAlgebra, f: GradedFunctional, bound: int,
                 vals[c] = v
         hs.append(GradedFunctional(F, vals, D - q))
         h_deg.append(D - q)
-    # the h basis must match the row space ordering for coords to line up
-    basis_rows = [tuple(h.values.get(c, F.zero) for c in window) for h in hs]
-    coord_space = RowSpace(F, len(window), basis_rows)
-    if coord_space.dim != d:
-        raise ValidationError("right translate representatives degenerate")
-    # g_i(a) = i-th coordinate of f <- a in that basis
+    # on the window (degrees <= bound <= D - deg b_i) h_i is the row that rs
+    # accepted for b_i, so these d columns are independent; g_i(a) is the
+    # i-th coordinate of f <- a in them
+    H = SparseMatrix.from_rows(F, [[h.values.get(c, F.zero) for c in window] for h in hs],
+                               len(window)).transpose()
     gs_vals: list[dict] = [dict() for _ in range(d)]
     g_known = min(t_max, min(h_deg) if h_deg else t_max)
     for a in G.basis_keys():
         if a[0] > g_known:
             continue
         row = right_row(a)
-        coords = _coords_in(F, basis_rows, row)
+        coords = H.solve(row)
         if coords is None:
             raise ValidationError("right translate escapes its own span")
         for i, c in enumerate(coords):
@@ -375,12 +373,6 @@ def delta_of_functional(G: GradedAlgebra, f: GradedFunctional, bound: int,
             if lhs != rhs:
                 raise ValidationError(f"delta factorization fails at ({a},{b})")
     return list(zip(gs, hs))
-
-
-def _coords_in(F: Field, rows, target):
-    """Coordinates of target in the span of the (independent) rows, or None."""
-    M = SparseMatrix.from_rows(F, list(rows), len(target)).transpose()
-    return M.solve(tuple(target))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import FinAlgebra, quotient_algebra, radical
+from .algebra import FinAlgebra, _radical_quotient
 from .errors import DecompositionFailed, UnsupportedCorner, ValidationError
 from .fields import Field
 from .linalg import RowSpace, SparseMatrix, axpy, basis_vec, bilinear, dense_vec, sparse_vec
@@ -213,8 +213,7 @@ def complete_primitive_idempotents(B: FinAlgebra) -> tuple[list, list]:
     F = B.field
     if B.unit is None:
         raise ValidationError("need a unital algebra")
-    rad = radical(B)
-    Q, proj = quotient_algebra(B, rad)
+    _, Q, proj = _radical_quotient(B)
     bars, certs = split_semisimple_unit(Q)
     # pull back along any linear section of the projection, then lift
     sect = _section_of(proj.matrix)
@@ -268,7 +267,7 @@ def verify_family(B: FinAlgebra, family) -> list:
         for f in vecs[i + 1:]:
             if bilinear(F, B.mult, e, f) or bilinear(F, B.mult, f, e):
                 raise ValidationError("proposed family is not orthogonal")
-    Q, proj = quotient_algebra(B, radical(B))
+    _, Q, proj = _radical_quotient(B)
     certs = []
     for e in family:
         cert = _certify_primitive(Q, sparse_vec(F, proj(tuple(e))))

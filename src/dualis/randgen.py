@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from random import Random
 
-from .algebra import AlgebraMorphism, FinAlgebra, matrix_algebra
-from .coalgebra import CoalgebraMorphism, FinCoalgebra, _trusted, comatrix
+from .algebra import AlgebraMorphism, FinAlgebra, _trusted, matrix_algebra
+from .coalgebra import CoalgebraMorphism, FinCoalgebra, comatrix
 from .combinat import Poset, Quiver, path_coalgebra, paths_by_length, transitive_closure
 from .comodule import FinComodule
 from .errors import ValidationError
 from .fields import Field
-from .finite_dual import FinBialgebra, bialgebra_dual, group_bialgebra
+from .finite_dual import bialgebra_dual, group_bialgebra
 from .linalg import SparseMatrix, axpy, bilinear
 
 

@@ -6,9 +6,11 @@ C* cuts a counital coalgebra into blocks through the hit operators
     right side:  P_e(c) = (id (x) e) delta(c)
     left side:   P_e(c) = (e (x) id) delta(c)
 
-The operators are verified to be orthogonal idempotent projections summing to
-the identity, and each image is checked to be a coideal on the matching side
-(right blocks satisfy delta(W) <= C (x) W, left blocks delta(W) <= W (x) C).
+The operators are orthogonal idempotent projections summing to the identity,
+and each image is a coideal on the matching side (right blocks satisfy
+delta(W) <= C (x) W, left blocks delta(W) <= W (x) C).  P_e is e acting on C
+through the transpose of its coaction, so C's axioms and the family's checks
+already give all of this, and nothing is re-checked (algebra._trusted, (i)).
 For a path coalgebra the right blocks are spanned by the paths ending at a
 fixed vertex and the left blocks by the paths starting at one, which is the
 bridge to the bounded walk counts used by the semiperfectness harness.
@@ -19,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import FinAlgebra, multiples
-from .coalgebra import CoalgebraMorphism, FinCoalgebra, delta_legs, dual_algebra, dual_coalgebra
+from .coalgebra import CoalgebraMorphism, FinCoalgebra, dual_algebra, dual_coalgebra
 from .combinat import _count_walks, path_coalgebra, path_target, semiperfect_check
 from .comodule import FinComodule, FinModule, module_to_comodule
 from .errors import (
@@ -65,75 +67,41 @@ def _hit_matrix(C: FinCoalgebra, e: tuple, side: str) -> SparseMatrix:
     return SparseMatrix(F, C.dim, C.dim, ent)
 
 
-def _column_space(M: SparseMatrix) -> list:
-    return RowSpace(M.field, M.rows, M.columns()).basis()
-
-
-def _check_coideal(C: FinCoalgebra, basis: list, side: str) -> None:
-    """Right blocks need delta(W) <= C (x) W, left blocks W (x) C."""
-    legs = delta_legs(C, (0,) if side == "right" else (1,))
-    if not RowSpace(C.field, C.dim, basis).closed_under(legs):
-        raise ValidationError(f"{side} block is not a coideal on that side")
-
-
 def decompose_injectives(C: FinCoalgebra, side: str = "right",
                          idempotents=None) -> InjectiveDecomposition:
     """Cut C into indecomposable injective blocks on the given side.
 
     When idempotents is None a complete primitive family is computed in the
     dual algebra; a supplied family is verified instead of trusted.
+    Trusted (i): the hit operators are the family acting through the
+    transpose of C's coaction, so they are complete orthogonal idempotent
+    projections onto coideals because C is a counital coalgebra and the
+    family checks passed.
     """
     if side not in ("left", "right"):
         raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
     if not C.is_counital():
         raise ValidationError("injective decomposition needs a counit")
-    F = C.field
     B = dual_algebra(C)
     if idempotents is None:
         family, certs = complete_primitive_idempotents(B)
     else:
         family = [tuple(e) for e in idempotents]
         certs = verify_family(B, family)
-    total: dict = {}
-    for e in family:
-        axpy(F, total, F.one, sparse_vec(F, e))
-    if total != sparse_vec(F, C.counit):
-        raise ValidationError("dual idempotents do not sum to the counit")
     projections = [_hit_matrix(C, e, side) for e in family]
-    for M in projections:
-        if M @ M != M:
-            raise ValidationError("hit operator is not idempotent")
-    summed = projections[0]
-    for M in projections[1:]:
-        summed = summed + M
-    if summed != SparseMatrix.identity(F, C.dim):
-        raise ValidationError("hit operators do not sum to the identity")
-    zero = SparseMatrix(F, C.dim, C.dim, {})
-    for a, Ma in enumerate(projections):
-        for Mb in projections[a + 1:]:
-            if Ma @ Mb != zero or Mb @ Ma != zero:
-                raise ValidationError("hit operators are not orthogonal")
-    blocks = []
-    for M in projections:
-        basis = _column_space(M)
-        _check_coideal(C, basis, side)
-        blocks.append(tuple(basis))
-    if sum(len(b) for b in blocks) != C.dim:
-        raise ValidationError("block dimensions do not sum to dim C")
+    blocks = [tuple(RowSpace(C.field, C.dim, M.columns()).basis()) for M in projections]
     return InjectiveDecomposition(C, side, tuple(family), tuple(projections),
                                   tuple(blocks), tuple(certs))
 
 
 def counit_from_decomposition(dec: InjectiveDecomposition) -> tuple:
-    """The counit recovered as the sum of the dual idempotents."""
-    C = dec.coalgebra
-    F = C.field
+    """The counit recovered as the sum of the dual idempotents, which the
+    family checks already certified to sum to the unit of C*, the counit."""
+    F = dec.coalgebra.field
     total: dict = {}
     for e in dec.idempotents:
         axpy(F, total, F.one, sparse_vec(F, e))
-    if total != sparse_vec(F, C.counit):
-        raise ValidationError("idempotents do not reassemble the counit")
-    return dense_vec(F, C.dim, total)
+    return dense_vec(F, dec.coalgebra.dim, total)
 
 
 @dataclass(frozen=True)
@@ -249,7 +217,7 @@ def hopf_selfdual_check(H) -> dict:
     rep = left_coreflexive_check(H.coalgebra)
     if not rep.bijective:
         raise ValidationError("evaluation is not bijective")
-    dec = decompose_injectives(H.coalgebra, "right")  # raises unless the family sums to eps
+    dec = decompose_injectives(H.coalgebra, "right")
     return {
         "double_dual_identity": True,
         "evaluation_bijective": True,
@@ -279,12 +247,15 @@ def rat_dual_template(template, F: Field, radius: int, ambient_radius: int,
         "right": [path_target(Q, p) for p in flat],
         "left": [p[0] for p in flat],
     }
+    verts = list(template.vertices_within(radius))
     sides = {}
     for side in ("right", "left"):
-        verts = list(template.vertices_within(radius))
+        by_anchor: dict = {}  # vertex -> indices of the paths anchored there
+        for n, a in enumerate(anchors[side]):
+            by_anchor.setdefault(a, []).append(n)
         per_vertex = []
         for v in verts:
-            members = tuple(n for n, a in enumerate(anchors[side]) if a == v)
+            members = tuple(by_anchor.get(v, ()))
             status, count = _count_walks(template, v, side == "left", bound)
             complete = status == "finite" and count == len(members)
             if status == "finite" and count < len(members):
@@ -297,13 +268,13 @@ def rat_dual_template(template, F: Field, radius: int, ambient_radius: int,
                 "count": count,
                 "complete": complete,
             })
-        window = tuple(n for n, a in enumerate(anchors[side]) if a in set(verts))
+        window_dim = sum(len(pv["members"]) for pv in per_vertex)
         covered = sum(len(pv["members"]) for pv in per_vertex if pv["complete"])
         sides[side] = {
             "per_vertex": per_vertex,
-            "window_dim": len(window),
+            "window_dim": window_dim,
             "covered_dim": covered,
-            "annihilator_dim": len(window) - covered,
+            "annihilator_dim": window_dim - covered,
         }
     return {
         "coalgebra": C,

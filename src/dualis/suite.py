@@ -25,7 +25,6 @@ from .coalgebra import (
     dual_coalgebra,
     dual_unitalization_iso,
     subcoalgebra_generated,
-    FinCoalgebra,
 )
 from .combinat import (
     FiniteTemplate,
@@ -39,7 +38,7 @@ from .combinat import (
 )
 from .comodule import lattice_agreement_check, subcomodule_generated
 from .errors import DualisError
-from .fields import GF, QQ, Field
+from .fields import GF, QQ
 from .linalg import basis_vec, dense_vec
 from .finite_dual import (
     LinRec,
@@ -589,10 +588,6 @@ def _run_items(items, seed: int) -> Report:
             verdict = "fail"
             details = {"message": str(e)}
             replay = {**block, **e.replay}
-        except DualisError as e:
-            verdict = "error"
-            details = {"message": f"{type(e).__name__}: {e}"}
-            replay = block
         except Exception as e:  # noqa: BLE001 - report, never crash the run
             verdict = "error"
             details = {"message": f"{type(e).__name__}: {e}"}

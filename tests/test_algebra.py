@@ -18,6 +18,7 @@ from dualis.algebra import (
     unitalize,
     unitalize_morphism,
 )
+from dualis.coalgebra import _trusted
 from dualis.errors import NotTwoSided, UnsupportedCharacteristic, ValidationError
 from dualis.fields import GF, QQ
 from dualis.linalg import SparseMatrix, basis_vec
@@ -36,6 +37,14 @@ def upper_triangular_2x2():
         (2, 2): {2: F(1)},
     }
     return FinAlgebra(QQ, 3, mult, (F(1), F(0), F(1)))
+
+
+def upper_triangular_3x3():
+    # basis E11, E12, E13, E22, E23, E33; E_ij E_jk = E_ik
+    units = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+    mult = {(a, b): {units.index((i, k)): F(1)}
+            for a, (i, j) in enumerate(units) for b, (j2, k) in enumerate(units) if j == j2}
+    return FinAlgebra(QQ, 6, mult, (F(1), F(0), F(0), F(1), F(0), F(1)))
 
 
 def null_algebra(dim=1):
@@ -124,6 +133,15 @@ def test_left_only_ideal_validation():
         SubspaceIdeal(A, (basis_vec(QQ, 3, 0),), "two")  # E11*E12 = E12 escapes
 
 
+def test_quotient_rejects_a_trusted_one_sided_ideal():
+    # span{E12} is closed on the left only (E12 E23 = E13); handed in
+    # unvalidated as two-sided, the projection's morphism check catches it
+    A = upper_triangular_3x3()
+    I = _trusted(SubspaceIdeal, A, (basis_vec(QQ, 6, 1),), "two")
+    with pytest.raises(ValidationError):
+        quotient_algebra(A, I)
+
+
 def test_cofinite_two_sided_inside():
     A = upper_triangular_2x2()
     I = SubspaceIdeal(A, (basis_vec(QQ, 3, 0), basis_vec(QQ, 3, 1)), "left")
@@ -145,6 +163,12 @@ def test_radical_of_upper_triangular():
     assert rad.basis == (basis_vec(QQ, 3, 1),)
     Q, _ = quotient_algebra(A, rad)
     assert radical(Q).dim == 0
+    for A in (A, upper_triangular_3x3()):
+        rad = radical(A)
+        assert rad == SubspaceIdeal(A, rad.basis, "two")
+        Q, _ = quotient_algebra(A, rad)
+        assert Q == FinAlgebra(QQ, Q.dim, Q.mult, Q.unit)
+        assert Q.dim == {3: 2, 6: 3}[A.dim]
 
 
 def test_radical_rejects_a_candidate_that_is_not_nilpotent(monkeypatch):
@@ -154,6 +178,15 @@ def test_radical_rejects_a_candidate_that_is_not_nilpotent(monkeypatch):
                         lambda self: [basis_vec(QQ, self.cols, i) for i in range(self.cols)])
     with pytest.raises(ValidationError, match="radical candidate is not nilpotent"):
         radical(upper_triangular_2x2())
+
+
+def test_radical_rejects_a_candidate_that_is_not_two_sided(monkeypatch):
+    # span{E12} is nilpotent but not a right ideal, so only the two-sidedness
+    # certificate can reject it
+    monkeypatch.setattr(SparseMatrix, "kernel_basis",
+                        lambda self: [basis_vec(QQ, self.cols, 1)])
+    with pytest.raises(ValidationError):
+        radical(upper_triangular_3x3())
 
 
 def test_radical_characteristic_guard():

@@ -260,3 +260,92 @@ def test_harness_finite_template_holds_both_sides():
     for rec in out["records"]:
         assert rec["status"] == "holds"
         assert rec["annihilator_dim"] == 0
+
+
+# ---------------------------------------------------------------------------
+# decomposition oracle: the block properties, by plain loops over the tables
+
+def _dense(M):
+    F = M.field
+    return [[M.entries.get((r, c), F.zero) for c in range(M.cols)] for r in range(M.rows)]
+
+
+def _matmul(F, X, Y):
+    n = len(X)
+    out = [[F.zero] * n for _ in range(n)]
+    for r in range(n):
+        for k in range(n):
+            if not F.is_zero(X[r][k]):
+                for c in range(n):
+                    out[r][c] = F.add(out[r][c], F.mul(X[r][k], Y[k][c]))
+    return out
+
+
+def _hit(C, e, side):
+    """P_e(c_k) = sum over delta(c_k) of e on the far leg, as a dense matrix."""
+    F = C.field
+    P = [[F.zero] * C.dim for _ in range(C.dim)]
+    for k, table in C.comult.items():
+        for (i, j), v in table.items():
+            r, s = (i, j) if side == "right" else (j, i)
+            P[r][k] = F.add(P[r][k], F.mul(v, e[s]))
+    return P
+
+
+def _apply(F, P, v):
+    out = []
+    for row in P:
+        acc = F.zero
+        for x, y in zip(row, v):
+            acc = F.add(acc, F.mul(x, y))
+        out.append(acc)
+    return out
+
+
+def _assert_blocks_hold(dec):
+    C, side = dec.coalgebra, dec.side
+    F, n = C.field, C.dim
+    Ps = [_dense(M) for M in dec.projections]
+    zero = [[F.zero] * n for _ in range(n)]
+    total = [[F.zero] * n for _ in range(n)]
+    for a, P in enumerate(Ps):
+        assert P == _hit(C, dec.idempotents[a], side)
+        assert _matmul(F, P, P) == P
+        for b, R in enumerate(Ps):
+            if a != b:
+                assert _matmul(F, P, R) == zero
+        total = [[F.add(x, y) for x, y in zip(tr, pr)] for tr, pr in zip(total, Ps[a])]
+    assert total == [[F.one if r == c else F.zero for c in range(n)] for r in range(n)]
+    for P, block in zip(Ps, dec.blocks):
+        # an idempotent's rank is its trace; block vectors are fixed by P and
+        # independent, their leading indices being distinct
+        trace = F.zero
+        for r in range(n):
+            trace = F.add(trace, P[r][r])
+        assert trace == F.from_int(len(block))
+        leads = [next(k for k, x in enumerate(w) if not F.is_zero(x)) for w in block]
+        assert len(set(leads)) == len(block)
+        for w in block:
+            assert _apply(F, P, list(w)) == list(w)
+            # coideal: every slice of delta(w) on the block's leg lies in the block
+            slices: dict = {}
+            for k, x in enumerate(w):
+                for (i, j), v in C.comult.get(k, {}).items():
+                    outer, inner = (i, j) if side == "right" else (j, i)
+                    row = slices.setdefault(outer, [F.zero] * n)
+                    row[inner] = F.add(row[inner], F.mul(x, v))
+            for row in slices.values():
+                assert _apply(F, P, row) == row
+    assert sum(len(b) for b in dec.blocks) == n
+
+
+@pytest.mark.parametrize("F", [QQ, GF(101)], ids=["q", "fp101"])
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_decomposition_blocks_match_a_plain_loop_oracle(F, side):
+    rng = Random(f"blocks:{F.characteristic}:{side}")
+    cases = [rand_coalgebra(F, rng, max_dim=5, counital=True) for _ in range(12)]
+    cases += [path_coalgebra(F, A3)[0], comatrix(F, 2)]
+    cases += [conjugate_coalgebra(C, rand_invertible(F, rng, C.dim))[0]
+              for C in (comatrix(F, 2), path_coalgebra(F, A3)[0], cases[0])]
+    for C in cases:
+        _assert_blocks_hold(decompose_injectives(C, side))

@@ -12,7 +12,7 @@ from random import Random
 import pytest
 
 import dualis
-from dualis.algebra import AlgebraMorphism, FinAlgebra
+from dualis.algebra import AlgebraMorphism, FinAlgebra, SubspaceIdeal, quotient_algebra, radical
 from dualis.combinat import path_algebra
 from dualis.coalgebra import (
     CoalgebraMorphism,
@@ -167,6 +167,11 @@ def test_duals_equal_the_validated_construction(F):
         assert dual_algebra(C) == FinAlgebra(F, C.dim, transpose_comult(C.comult), C.counit)
         A = rand_algebra(F, rng, max_dim=4, unital=bool(n % 2))
         assert dual_coalgebra(A) == FinCoalgebra(F, A.dim, transpose_mult(A.mult), A.unit)
+        # the radical and A/rad are certified by the projection, not rebuilt
+        rad = radical(A)
+        assert rad == SubspaceIdeal(A, rad.basis, "two")
+        Q, _ = quotient_algebra(A, rad)
+        assert Q == FinAlgebra(F, Q.dim, Q.mult, Q.unit)
     for _, H in hopf_instances(F):
         D = bialgebra_dual(H)
         assert D.algebra == FinAlgebra(F, H.dim, transpose_comult(H.coalgebra.comult),
@@ -189,7 +194,8 @@ def test_every_trusted_site_names_its_rule():
                 sites.append(f"{path.name}:{fn.name}")
                 if not re.search(r"Trusted \((i|ii)\)", ast.get_docstring(fn) or ""):
                     untagged.append(sites[-1])
-    assert {"coalgebra.py:dual_algebra", "combinat.py:_dual_iso",
+    assert {"algebra.py:_radical_quotient", "algebra.py:quotient_algebra",
+            "coalgebra.py:dual_algebra", "combinat.py:_dual_iso",
             "finite_dual.py:bialgebra_dual"} <= set(sites)
     assert untagged == []
 
