@@ -37,21 +37,26 @@ def _trusted(cls, *values):
     certified once.  Its constructor validated it, or it was built from a
     certified input as (i) that input's transpose, whose axioms are the
     input's read backwards (dual_algebra, dual_coalgebra, comatrix_cover,
-    comodule_to_dual_module, module_to_comodule, bialgebra_dual,
-    unital_dual_compat, the coalgebra maps of verify_pathdual_iso and
-    verify_incidencedual_iso), or (ii) the target of a map P whose morphism
-    check runs right after: a surjective P carries every axiom of its source
-    to its image, and its kernel is a two-sided ideal (quotient_algebra, whose
-    projection is onto by construction, with _radical_quotient's radical as
-    its kernel; randgen's conjugate_coalgebra and conjugate_algebra; with
-    P = identity, dual_unitalization_iso).  decompose_injectives re-checks
-    nothing, by (i): its hit operators are the idempotents of C* acting
-    through the transpose of C's coaction, so C's coassociativity and counit
-    axioms make them multiply and sum as the idempotents do, and their images
-    coideals; complete_primitive_idempotents and verify_family certify the
-    family.  Each call site's docstring says "Trusted (i)" or "Trusted (ii)".
+    comodule_to_dual_module, module_to_comodule, rat_module_to_comodule,
+    bialgebra_dual, unital_dual_compat), or (ii) the target of a map P whose
+    morphism check runs right after: a surjective P carries every axiom of
+    its source to its image, and its kernel is a two-sided ideal
+    (quotient_algebra, whose projection is onto by construction, with
+    _radical_quotient's radical as its kernel; randgen's conjugate_coalgebra
+    and conjugate_algebra; with P = identity, dual_unitalization_iso and the
+    coalgebra C of verify_pathdual_iso and verify_incidencedual_iso, whose
+    map C -> A* is then trusted by (i)).  An inclusion D -> C certifies D so:
+    its check runs on the transpose C* -> D*, onto as D's basis is independent
+    (subcoalgebra_on_span, hence coradical and subcoalgebra_generated).
+    decompose_injectives re-checks nothing, by (i): its hit operators are the
+    idempotents of C* acting through the transpose of C's coaction, so C's
+    axioms make them multiply and sum as the idempotents do, onto coideals;
+    complete_primitive_idempotents and verify_family certify the family.
+    Each call site's docstring says "Trusted (i)" or "Trusted (ii)".
     Constructors that take outside input (comatrix, matrix_algebra,
-    unitalize, counitalize, SubspaceIdeal, spec parsing) always validate.
+    unitalize, counitalize, path_coalgebra, incidence_coalgebra,
+    SubspaceIdeal, spec parsing) always validate, and no structure is built
+    that nothing reads.
     """
     obj = object.__new__(cls)
     for f, v in zip(fields(cls), values, strict=True):
@@ -247,16 +252,16 @@ def unitalize_morphism(f: AlgebraMorphism, A1: FinAlgebra, B1: FinAlgebra) -> Al
 
 def regular_matrix_embedding(A: FinAlgebra) -> AlgebraMorphism:
     """Embed A into the (dim+1)-square matrix algebra by left multiplication
-    on the unitalization.  Injective because a*u = a recovers the element."""
+    on the unitalization A + Ku, read off A's table (b_i u = b_i).  Injective
+    because a*u = a recovers the element; the morphism check and the rank
+    certify it."""
     F = A.field
     n = A.dim
-    A1, _ = unitalize(A)
     M = matrix_algebra(F, n + 1)
-    ent = {}
-    for i in range(n):
-        for c in range(n + 1):
-            for r, v in A1.mult.get((i, c), {}).items():
-                ent[(r * (n + 1) + c, i)] = v
+    ent = {(i * (n + 1) + n, i): F.one for i in range(n)}
+    for (i, c), terms in A.mult.items():
+        for r, v in terms.items():
+            ent[(r * (n + 1) + c, i)] = v
     mor = AlgebraMorphism(A, M, SparseMatrix(F, (n + 1) ** 2, n, ent))
     if not mor.is_injective():
         raise ValidationError("regular embedding unexpectedly non-injective")

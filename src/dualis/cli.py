@@ -12,7 +12,7 @@ Verbs:
 Exit codes: 0 all checks pass, 1 a check failed, 2 input error (bad file,
 bad reference, malformed block, unusable flag value, a flag the verb does
 not read).  --trials, --max-dim, --radius and --bound take nonnegative
-integers only.
+integers only; a star template takes 1..1024 rays (combinat.MAX_STAR_RAYS).
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("semiperfect", parents=[common],
                         help="semiperfectness of a quiver template")
-    sp.add_argument("template", help='"line" | "ray" | "loop" | "star:<k>"')
+    sp.add_argument("template", help='"line" | "ray" | "loop" | "star:<k>", 1 <= k <= 1024')
     sp.add_argument("--side", choices=["left", "right", "both"],
                     default="both")
     sp.add_argument("--radius", type=_nonnegative, default=3)

@@ -257,7 +257,9 @@ def delta_legs(C: FinCoalgebra, outers=(0, 1)):
 
 
 def subcoalgebra_on_span(C: FinCoalgebra, vectors) -> tuple[FinCoalgebra, CoalgebraMorphism]:
-    """Induced coalgebra on a span, or ValidationError if it is not closed."""
+    """Induced coalgebra on a span, or ValidationError if it is not closed.
+    Trusted (ii): the inclusion's check runs on its transpose C* -> D*, onto
+    as the basis is independent, so D* inherits C*'s axioms."""
     F = C.field
     rs = RowSpace(F, C.dim, vectors)
 
@@ -289,9 +291,9 @@ def subcoalgebra_on_span(C: FinCoalgebra, vectors) -> tuple[FinCoalgebra, Coalge
     counit = None
     if C.counit is not None:
         counit = tuple(C.counit_of(v) for v in basis)
-    D = FinCoalgebra(F, len(basis), comult, counit)
+    D = _trusted(FinCoalgebra, F, len(basis), comult, counit)
     incl = CoalgebraMorphism(D, C, SparseMatrix.from_rows(F, basis, C.dim).transpose(),
-                             counital=counit is not None and C.counit is not None)
+                             counital=counit is not None)
     return D, incl
 
 

@@ -5,7 +5,8 @@ when p ends where q starts.  With that convention the dual of the path
 coalgebra of a finite acyclic quiver IS the path algebra on the nose (the
 comparison matrix is the identity), and likewise for incidence structures.
 verify_pathdual_iso and verify_incidencedual_iso certify it by one morphism
-check, A -> C*, and return its transpose C -> A* too (algebra._trusted).
+check, A -> C*, which certifies C as well, and return its transpose C -> A*
+too (algebra._trusted).
 
 Infinite shapes (the integer line, a ray, stars, a loop) are templates: they
 answer local arrow queries and truncate to finite quivers, and
@@ -100,24 +101,13 @@ def paths_by_length(Q: Quiver, max_len: int | None):
         levels.append(nxt)
 
 
-def _path_label(Q: Quiver, path) -> str:
-    if not path[1]:
-        return f"e({path[0]})"
-    chain = [str(path[0])]
-    v = path[0]
-    for idx in path[1]:
-        v = Q.arrows[idx][1]
-        chain.append(str(v))
-    return "p(" + "->".join(chain) + ")"
-
-
 def path_algebra(F: Field, Q: Quiver, max_len: int | None = None
                  ) -> tuple[GradedAlgebra, dict]:
     """Graded by arrow count, degree 0 spanned by the trivial paths.
 
     Returns the algebra and the path -> (degree, index) key map.
     """
-    levels, truncated = paths_by_length(Q, max_len)
+    levels, _ = paths_by_length(Q, max_len)
     key_of = {}
     for d, lev in enumerate(levels):
         for i, p in enumerate(lev):
@@ -133,24 +123,14 @@ def path_algebra(F: Field, Q: Quiver, max_len: int | None = None
             joined = (p[0], p[1] + q[1])
             mult[(kp, kq)] = {key_of[joined]: F.one}
     unit = {key_of[(v, ())]: F.one for v in Q.vertices}
-    labels = {k: _path_label(Q, p) for p, k in key_of.items()}
-    G = GradedAlgebra(F, tuple(len(lev) for lev in levels), mult,
-                      unit=unit, truncated=truncated, labels=labels)
-    return G, key_of
+    return GradedAlgebra(F, tuple(len(lev) for lev in levels), mult, unit=unit), key_of
 
 
-def path_coalgebra(F: Field, Q: Quiver, max_len: int | None = None
-                   ) -> tuple[FinCoalgebra, list]:
-    """Deconcatenation coalgebra on the same paths; exact at any truncation
-    because splitting never raises the length.
-
-    Returns the coalgebra and the flat list of paths in basis order.
-    """
-    levels, _ = paths_by_length(Q, max_len)
-    flat = [p for lev in levels for p in lev]
+def _path_tables(F: Field, Q: Quiver, max_len: int | None) -> tuple[dict, tuple, list]:
+    """The path coalgebra's unvalidated tables, and its paths in order."""
+    flat = [p for lev in paths_by_length(Q, max_len)[0] for p in lev]
     index = {p: n for n, p in enumerate(flat)}
     comult = {}
-    counit = []
     for p, n in index.items():
         terms = {}
         arrows = p[1]
@@ -160,16 +140,27 @@ def path_coalgebra(F: Field, Q: Quiver, max_len: int | None = None
             key = (index[pre], index[suf])
             terms[key] = F.add(terms.get(key, F.zero), F.one)
         comult[n] = terms
-    for p in flat:
-        counit.append(F.one if not p[1] else F.zero)
-    return FinCoalgebra(F, len(flat), comult, tuple(counit)), flat
+    return comult, tuple(F.zero if p[1] else F.one for p in flat), flat
 
 
-def _dual_iso(A: FinAlgebra, C: FinCoalgebra) -> tuple[AlgebraMorphism, CoalgebraMorphism]:
-    """The identity comparisons A -> C* and C -> A*, isomorphisms once the
-    morphism check has matched the shapes.  Trusted (i): the coalgebra map
-    is the transpose of the algebra map, whose check is the one it would run.
+def path_coalgebra(F: Field, Q: Quiver, max_len: int | None = None
+                   ) -> tuple[FinCoalgebra, list]:
+    """Deconcatenation coalgebra on the same paths; exact at any truncation
+    because splitting never raises the length.
+
+    Returns the coalgebra and the flat list of paths in basis order.
     """
+    comult, counit, flat = _path_tables(F, Q, max_len)
+    return FinCoalgebra(F, len(flat), comult, counit), flat
+
+
+def _dual_iso(A: FinAlgebra, comult: dict, counit: tuple
+              ) -> tuple[AlgebraMorphism, CoalgebraMorphism]:
+    """The identity comparisons A -> C* and C -> A* for the coalgebra C on
+    these tables.  Trusted (ii), P = identity: the check against the
+    validated A compares every entry, and the unit with the counit, so C*
+    carries A's axioms.  Trusted (i): C -> A* is the transpose of A -> C*."""
+    C = _trusted(FinCoalgebra, A.field, len(counit), comult, counit)
     alg = AlgebraMorphism(A, dual_algebra(C), SparseMatrix.identity(A.field, A.dim), unital=True)
     return alg, _trusted(CoalgebraMorphism, C, dual_coalgebra(A), alg.matrix, True)
 
@@ -179,8 +170,8 @@ def verify_pathdual_iso(F: Field, Q: Quiver, max_len: int | None = None
     """Dual of the path coalgebra vs the path algebra, both directions."""
     G, _ = path_algebra(F, Q, max_len)
     A, _ = G.as_fin_algebra()
-    C, _ = path_coalgebra(F, Q, max_len)
-    return _dual_iso(A, C)
+    comult, counit, _ = _path_tables(F, Q, max_len)
+    return _dual_iso(A, comult, counit)
 
 
 # ---------------------------------------------------------------------------
@@ -264,29 +255,28 @@ def incidence_algebra(F: Field, P: Poset) -> tuple[FinAlgebra, list]:
     return FinAlgebra(F, len(ivs), mult, tuple(unit)), ivs
 
 
-def incidence_coalgebra(F: Field, P: Poset) -> tuple[FinCoalgebra, list]:
-    """Interval basis, splitting at every midpoint; counit on diagonals."""
+def _incidence_tables(F: Field, P: Poset) -> tuple[dict, tuple, list]:
+    """The incidence coalgebra's unvalidated tables, and its intervals."""
     ivs = P.intervals()
     index = {iv: n for n, iv in enumerate(ivs)}
-    comult = {}
-    counit = []
-    for (x, y) in ivs:
-        terms = {}
-        for z in P.elements:
-            if P.le(x, z) and P.le(z, y):
-                terms[(index[(x, z)], index[(z, y)])] = F.one
-        comult[index[(x, y)]] = terms
-    for (x, y) in ivs:
-        counit.append(F.one if x == y else F.zero)
-    return FinCoalgebra(F, len(ivs), comult, tuple(counit)), ivs
+    comult = {index[(x, y)]: {(index[(x, z)], index[(z, y)]): F.one
+                              for z in P.elements if P.le(x, z) and P.le(z, y)}
+              for (x, y) in ivs}
+    return comult, tuple(F.one if x == y else F.zero for (x, y) in ivs), ivs
+
+
+def incidence_coalgebra(F: Field, P: Poset) -> tuple[FinCoalgebra, list]:
+    """Interval basis, splitting at every midpoint; counit on diagonals."""
+    comult, counit, ivs = _incidence_tables(F, P)
+    return FinCoalgebra(F, len(ivs), comult, counit), ivs
 
 
 def verify_incidencedual_iso(F: Field, P: Poset
                              ) -> tuple[AlgebraMorphism, CoalgebraMorphism]:
     """Incidence algebra vs dual of the incidence coalgebra, both directions."""
     A, _ = incidence_algebra(F, P)
-    C, _ = incidence_coalgebra(F, P)
-    return _dual_iso(A, C)
+    comult, counit, _ = _incidence_tables(F, P)
+    return _dual_iso(A, comult, counit)
 
 
 def all_posets_up_to_iso(n: int) -> list:
@@ -385,14 +375,17 @@ class RayTemplate:
         return Quiver(tuple(vs), tuple((i, i + 1) for i in vs[:-1]))
 
 
+MAX_STAR_RAYS = 1024  # the centre's walk step lists every ray, so it is O(rays)
+
+
 class StarTemplate:
-    """A center with k infinite rays pointing outward."""
+    """A center with k infinite rays pointing outward, 1 <= k <= MAX_STAR_RAYS."""
 
     name = "star"
 
     def __init__(self, rays: int):
-        if rays < 1:
-            raise ValidationError("star needs at least one ray")
+        if not 1 <= rays <= MAX_STAR_RAYS:
+            raise ValidationError(f"star needs 1..{MAX_STAR_RAYS} rays, got {rays}")
         self.rays = rays
 
     def vertices_within(self, radius: int) -> list:

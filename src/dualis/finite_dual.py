@@ -64,8 +64,6 @@ class GradedAlgebra:
 
     component_dims[d] is the dimension of the degree-d part, and
     mult[(key1, key2)][key3] the structure constant; output degrees must add.
-    truncated means products of total degree beyond the last stored one were
-    dropped (a quotient, still associative) rather than genuinely zero.
     The flattened FinAlgebra (as_fin_algebra) is validated once, here.
     """
 
@@ -73,8 +71,6 @@ class GradedAlgebra:
     component_dims: tuple
     mult: dict
     unit: dict | None = None
-    truncated: bool = False
-    labels: dict | None = None
 
     def __post_init__(self):
         F = self.field
@@ -122,11 +118,6 @@ class GradedAlgebra:
             for i in range(nd):
                 yield (d, i)
 
-    def label(self, key) -> str:
-        if self.labels and key in self.labels:
-            return self.labels[key]
-        return f"b[{key[0]},{key[1]}]"
-
     def mul_flat(self, x: dict, y: dict) -> dict:
         """Product of sparse {key: scalar} elements."""
         return bilinear(self.field, self.mult, x, y)
@@ -144,9 +135,7 @@ def polynomial_algebra(F: Field, max_degree: int) -> GradedAlgebra:
     for d1 in range(max_degree + 1):
         for d2 in range(max_degree + 1 - d1):
             mult[((d1, 0), (d2, 0))] = {(d1 + d2, 0): one}
-    labels = {(d, 0): f"X^{d}" for d in range(max_degree + 1)}
-    return GradedAlgebra(F, (1,) * (max_degree + 1), mult, unit={(0, 0): one},
-                         truncated=True, labels=labels)
+    return GradedAlgebra(F, (1,) * (max_degree + 1), mult, unit={(0, 0): one})
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import FinAlgebra, multiples
+from .algebra import FinAlgebra, _trusted, multiples
 from .coalgebra import CoalgebraMorphism, FinCoalgebra, dual_algebra, dual_coalgebra
-from .combinat import _count_walks, path_coalgebra, path_target, semiperfect_check
+from .combinat import _count_walks, path_target, paths_by_length, semiperfect_check
 from .comodule import FinComodule, FinModule, module_to_comodule
 from .errors import (
     InsufficientClosureRadius,
@@ -185,7 +185,9 @@ def rat_module_to_comodule(N: FinModule, C: FinCoalgebra) -> FinComodule:
     """Transport a module over the dual algebra back to a C-comodule.
 
     Needs the evaluation map to be bijective; the module must genuinely be
-    over dual_algebra(C) or the tables will not match.
+    over dual_algebra(C) or the tables will not match.  Trusted (i): the
+    result is the transpose of the validated N, whose algebra's tables were
+    just checked to equal those of C*.
     """
     B = dual_algebra(C)
     if N.algebra.mult != B.mult or N.algebra.unit != B.unit:
@@ -195,7 +197,7 @@ def rat_module_to_comodule(N: FinModule, C: FinCoalgebra) -> FinComodule:
         raise NotLeftCoreflexive(
             f"evaluation has kernel rank {rep.kernel_rank}")
     M = module_to_comodule(N)
-    return FinComodule(C, M.dim, {t: dict(tbl) for t, tbl in M.coaction.items()})
+    return _trusted(FinComodule, C, M.dim, M.coaction)
 
 
 def hopf_selfdual_check(H) -> dict:
@@ -230,19 +232,22 @@ def rat_dual_template(template, F: Field, radius: int, ambient_radius: int,
                       bound: int | None = None) -> dict:
     """Vertex blocks of a truncated path coalgebra with completeness flags.
 
-    The coalgebra is built at ambient_radius while blocks are only formed
-    for vertices within radius; every path of length <= radius anchored in
-    the window then survives intact, which needs ambient >= 2*radius.  A
-    block is certified complete when the template walk count is finite and
-    equals the truncated block dimension.
+    The path coalgebra over F is truncated at ambient_radius while blocks are
+    only formed for vertices within radius; every path of length <= radius
+    anchored in the window then survives intact, which needs ambient >=
+    2*radius.  The right (left) block of v is spanned by the paths ending
+    (starting) at v, so blocks are read off path anchors and the coalgebra is
+    never built.  bound defaults to the path count plus one.  A block is
+    certified complete when the template walk count is finite and equals the
+    truncated block dimension.
     """
     if ambient_radius < 2 * radius:
         raise InsufficientClosureRadius(
             f"ambient radius {ambient_radius} < 2*radius = {2 * radius}")
     Q = template.truncate(ambient_radius)
-    C, flat = path_coalgebra(F, Q, max_len=ambient_radius)
+    flat = [p for lev in paths_by_length(Q, ambient_radius)[0] for p in lev]
     if bound is None:
-        bound = C.dim + 1
+        bound = len(flat) + 1
     anchors = {
         "right": [path_target(Q, p) for p in flat],
         "left": [p[0] for p in flat],
@@ -277,7 +282,6 @@ def rat_dual_template(template, F: Field, radius: int, ambient_radius: int,
             "annihilator_dim": window_dim - covered,
         }
     return {
-        "coalgebra": C,
         "paths": flat,
         "radius": radius,
         "ambient_radius": ambient_radius,

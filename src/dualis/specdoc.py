@@ -9,8 +9,8 @@ written.  Object blocks carry a "type" tag:
     comodule         coalgebra (ref), dim, coaction [[t,s,k,"c"],...]
     functional       field, sequence ["1","1","2",...]
     quiver           vertices [...], arrows [[src,tgt],...]
-    quiver-template  name ("line" | "ray" | "loop" | "star:<k>"), or name
-                     "finite" with quiver (ref to a quiver block)
+    quiver-template  name ("line" | "ray" | "loop" | "star:<k>", k <= 1024),
+                     or name "finite" with quiver (ref to a quiver block)
     poset            elements [...], relation [[a,b],...] (closure is taken)
     bialgebra        field, cayley [[..],..], inverses [..]
 
@@ -20,8 +20,9 @@ schema in CHECKS lists: each is converted to its type when the document is
 parsed, and an absent or null one takes its default.  Unknown check names
 raise UnknownCheck; missing, dangling or wrong-kind refs
 UnresolvedReference; malformed JSON SpecParseError with line and column, as
-do a dim above MAX_SPEC_DIM, a non-object "params", a param key outside the
-check's schema and a param value of the wrong type.
+do a dim above MAX_SPEC_DIM, a bad template name or ray count, a non-object
+"params", a param key outside the check's schema and a param value of the
+wrong type.
 """
 
 from __future__ import annotations
@@ -179,7 +180,10 @@ def _build_template(block, doc_objects):
     name = str(block["name"])
     if name == "finite":
         return FiniteTemplate(_ref(doc_objects, block["quiver"], "quiver"))
-    return make_template(name)
+    try:
+        return make_template(name)
+    except ValidationError as e:
+        raise SpecParseError(f"quiver-template {name!r}: {e}") from e
 
 
 def _build_poset(block, doc_objects):

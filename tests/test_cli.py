@@ -228,6 +228,11 @@ def test_semiperfect_verb(capsys):
     assert main(["semiperfect", "line"]) == 1
     assert main(["semiperfect", "star:3", "--side", "right"]) == 0
     assert main(["semiperfect", "banana"]) == 2
+    # the centre's walk step lists every ray, so a huge star exits 2 before it
+    for spec in ("star:1025", "star:99999999999"):
+        assert main(["semiperfect", spec, "--radius", "0", "--bound", "0"]) == 2
+        assert "1..1024 rays" in capsys.readouterr().err
+    assert main(["semiperfect", "star:1024", "--radius", "0", "--bound", "0"]) == 1
     capsys.readouterr()
     assert main(["semiperfect", "loop", "--side", "both", "--json"]) == 1
     rows = json.loads(capsys.readouterr().out)

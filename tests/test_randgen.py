@@ -3,10 +3,12 @@ from random import Random
 import pytest
 
 from dualis.algebra import AlgebraMorphism, FinAlgebra
-from dualis.coalgebra import CoalgebraMorphism, FinCoalgebra, _trusted, comatrix
+from dualis.coalgebra import (CoalgebraMorphism, FinCoalgebra, _trusted, comatrix, dual_algebra,
+                              subcoalgebra_generated)
+from dualis.combinat import Quiver, path_coalgebra, verify_incidencedual_iso, verify_pathdual_iso
 from dualis.errors import ValidationError
 from dualis.fields import GF, QQ
-from dualis.linalg import SparseMatrix
+from dualis.linalg import SparseMatrix, basis_vec
 from dualis.randgen import (
     conjugate_algebra,
     conjugate_coalgebra,
@@ -55,27 +57,47 @@ def _changed(F, table: dict, key, inner):
     return {k: t for k, t in out.items() if t}
 
 
-@pytest.mark.parametrize("F", [QQ, GF(101)], ids=["q", "fp101"])
-def test_transport_checks_reject_one_changed_entry(F):
-    # a transported structure is certified by its morphism check alone, so
-    # that check must see every entry of the table and the (co)unit
-    rng = Random(f"transport:{F.name()}")
+def _trusted_coalgebras(F, rng):
+    """(name, D, check) for each coalgebra D built unvalidated, where
+    check(E, counital) runs the morphism check that certifies D, on E."""
     C = comatrix(F, 2)
     P = rand_invertible(F, rng, C.dim)
     D, _ = conjugate_coalgebra(C, P)
-    changes = [(k, ij) for k, t in sorted(D.comult.items()) for ij in sorted(t)]
-    changes += [(rng.randrange(4), (rng.randrange(4), rng.randrange(4))) for _ in range(5)]
-    for k, ij in changes:
-        bad = _trusted(FinCoalgebra, F, D.dim, _changed(F, D.comult, k, ij), D.counit)
-        with pytest.raises(ValidationError):
-            CoalgebraMorphism(C, bad, P)
-    counit = list(D.counit)
-    i = rng.randrange(4)
-    counit[i] = F.add(counit[i], F.one)
-    moved = _trusted(FinCoalgebra, F, D.dim, D.comult, tuple(counit))
-    CoalgebraMorphism(C, moved, P)
-    with pytest.raises(ValidationError, match="unit to unit"):
-        CoalgebraMorphism(C, moved, P, counital=True)
+    yield "conjugate", D, lambda E, counital: CoalgebraMorphism(C, E, P, counital=counital)
+    # a sub-coalgebra whose basis is not a set of coordinate vectors
+    chain = Quiver(tuple(range(4)), ((0, 1), (1, 2), (2, 3)))
+    C, iso = conjugate_coalgebra(path_coalgebra(F, chain)[0], rand_invertible(F, rng, 10))
+    D, incl = subcoalgebra_generated(C, iso(basis_vec(F, 10, 7)))  # the path 0 -> 1 -> 2
+    assert D.dim == 6
+    yield "subcoalgebra", D, lambda E, counital: CoalgebraMorphism(E, C, incl.matrix,
+                                                                   counital=counital)
+    for name, (alg, co) in (("pathdual", verify_pathdual_iso(F, chain)),
+                            ("incidencedual", verify_incidencedual_iso(F, rand_poset(rng, 4)))):
+        yield name, co.source, lambda E, counital, alg=alg: AlgebraMorphism(
+            alg.source, dual_algebra(E), alg.matrix, unital=counital)
+
+
+@pytest.mark.parametrize("F", [QQ, GF(101)], ids=["q", "fp101"])
+def test_transport_checks_reject_one_changed_entry(F):
+    # a transported, included or dual structure is certified by its morphism
+    # check alone, so that check must see every entry of the table and the
+    # (co)unit
+    rng = Random(f"transport:{F.name()}")
+    for name, D, check in _trusted_coalgebras(F, rng):
+        n = D.dim
+        changes = [(k, ij) for k, t in sorted(D.comult.items()) for ij in sorted(t)]
+        changes += [(rng.randrange(n), (rng.randrange(n), rng.randrange(n))) for _ in range(5)]
+        for k, ij in changes:
+            bad = _trusted(FinCoalgebra, F, n, _changed(F, D.comult, k, ij), D.counit)
+            with pytest.raises(ValidationError):
+                check(bad, False)
+        counit = list(D.counit)
+        i = rng.randrange(n)
+        counit[i] = F.add(counit[i], F.one)
+        moved = _trusted(FinCoalgebra, F, n, D.comult, tuple(counit))
+        check(moved, False)
+        with pytest.raises(ValidationError, match="unit to unit"):
+            check(moved, True)
 
     A = truncated_poly_algebra(F, 3)
     P = rand_invertible(F, rng, A.dim)

@@ -229,6 +229,28 @@ def test_ray_template_blocks():
     assert all(pv["status"] == "exceeded" for pv in left["per_vertex"])
 
 
+@pytest.mark.parametrize("name", ["ray", "line", "star:2", "loop"])
+def test_template_anchor_groups_are_the_injective_blocks(name, monkeypatch):
+    # rat_dual_template reads its blocks off the path anchors instead of
+    # building the coalgebra; the blocks of the coalgebra must agree
+    template = make_template(name)
+    with monkeypatch.context() as m:
+        m.setattr(FinCoalgebra, "__post_init__", lambda self: pytest.fail("coalgebra built"))
+        data = rat_dual_template(template, QQ, 2, 4)
+    assert "coalgebra" not in data
+    assert data["bound"] == len(data["paths"]) + 1
+    Q = template.truncate(4)
+    C, flat = path_coalgebra(QQ, Q, max_len=4)
+    assert flat == data["paths"]
+    vertex_duals = [basis_vec(QQ, C.dim, flat.index((v, ()))) for v in Q.vertices]
+    for side in ("right", "left"):
+        dec = decompose_injectives(C, side, idempotents=vertex_duals)
+        support = {v: sorted({k for b in block for k, c in enumerate(b) if c})
+                   for v, block in zip(Q.vertices, dec.blocks)}
+        for pv in data["sides"][side]["per_vertex"]:
+            assert list(pv["members"]) == support[pv["vertex"]], (side, pv["vertex"])
+
+
 def test_closure_radius_guard():
     with pytest.raises(InsufficientClosureRadius):
         rat_dual_template(make_template("ray"), QQ, 3, 5)

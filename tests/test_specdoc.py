@@ -175,6 +175,16 @@ def test_finite_template_block():
     assert run_document(doc, seed=0).passed
 
 
+def test_star_rays_are_capped_at_parse_time():
+    def star(rays):
+        return parse_spec(doc_text({"t": {"type": "quiver-template", "name": f"star:{rays}"}}))
+
+    assert star(1024).resolve("t").rays == 1024
+    for rays in (1025, 99999999999, 0):
+        with pytest.raises(SpecParseError, match="rays"):
+            star(rays)
+
+
 def test_check_params_are_typed_at_parse_time():
     ray = {"t": {"type": "quiver-template", "name": "ray"}}
 

@@ -12,13 +12,29 @@ from random import Random
 import pytest
 
 import dualis
-from dualis.algebra import AlgebraMorphism, FinAlgebra, SubspaceIdeal, quotient_algebra, radical
-from dualis.combinat import path_algebra
+from dualis.algebra import (
+    AlgebraMorphism,
+    FinAlgebra,
+    SubspaceIdeal,
+    quotient_algebra,
+    radical,
+    regular_matrix_embedding,
+    unitalize,
+)
+from dualis.combinat import (
+    incidence_coalgebra,
+    path_algebra,
+    path_coalgebra,
+    verify_incidencedual_iso,
+    verify_pathdual_iso,
+)
 from dualis.coalgebra import (
     CoalgebraMorphism,
     FinCoalgebra,
+    coradical,
     dual_algebra,
     dual_coalgebra,
+    subcoalgebra_generated,
     transpose_comult,
     transpose_mult,
 )
@@ -26,7 +42,7 @@ from dualis.comodule import FinComodule, FinModule
 from dualis.errors import DualisError
 from dualis.fields import GF, QQ
 from dualis.finite_dual import FinBialgebra, GradedAlgebra, bialgebra_dual, group_bialgebra
-from dualis.linalg import SparseMatrix
+from dualis.linalg import SparseMatrix, basis_vec
 from dualis.randgen import (
     conjugate_coalgebra,
     hopf_instances,
@@ -36,6 +52,7 @@ from dualis.randgen import (
     rand_comodule,
     rand_invertible,
     rand_morphism_triple,
+    rand_poset,
 )
 from dualis.specdoc import parse_spec
 
@@ -181,6 +198,30 @@ def test_duals_equal_the_validated_construction(F):
         assert FinBialgebra(D.algebra, D.coalgebra, D.antipode) == D
 
 
+@pytest.mark.parametrize("F", [QQ, GF(101)], ids=["q", "fp101"])
+def test_derived_structures_equal_the_validated_construction(F, monkeypatch):
+    rng = Random(f"derived:{F.name()}")
+    for n in range(20):
+        C = rand_coalgebra(F, rng, max_dim=5, counital=bool(n % 2))
+        x = tuple(F.from_int(rng.randint(-2, 2)) for _ in range(C.dim))
+        subs = [subcoalgebra_generated(C, x),
+                subcoalgebra_generated(C, basis_vec(F, C.dim, rng.randrange(C.dim)))]
+        for D, _ in subs + ([coradical(C)] if C.counit else []):
+            assert D == FinCoalgebra(F, D.dim, D.comult, D.counit)
+        A = rand_algebra(F, rng, max_dim=4, unital=bool(n % 2))
+        A1, _ = unitalize(A)
+        m = A.dim + 1
+        ent = {(r * m + c, i): v for i in range(A.dim) for c in range(m)
+               for r, v in A1.mult.get((i, c), {}).items()}
+        with monkeypatch.context() as patch:
+            patch.setattr(dualis.algebra, "unitalize", lambda A: pytest.fail("unitalized"))
+            assert regular_matrix_embedding(A).matrix == SparseMatrix(F, m * m, A.dim, ent)
+        Q = rand_acyclic_quiver(rng, max_vertices=4, max_arrows=5, path_cap=40)
+        assert verify_pathdual_iso(F, Q)[1].source == path_coalgebra(F, Q)[0]
+        P = rand_poset(rng, rng.randint(1, 5))
+        assert verify_incidencedual_iso(F, P)[1].source == incidence_coalgebra(F, P)[0]
+
+
 def test_every_trusted_site_names_its_rule():
     # a function that builds through _trusted skips its constructor's checks,
     # so its docstring must say which certificate stands in for them
@@ -195,8 +236,9 @@ def test_every_trusted_site_names_its_rule():
                 if not re.search(r"Trusted \((i|ii)\)", ast.get_docstring(fn) or ""):
                     untagged.append(sites[-1])
     assert {"algebra.py:_radical_quotient", "algebra.py:quotient_algebra",
-            "coalgebra.py:dual_algebra", "combinat.py:_dual_iso",
-            "finite_dual.py:bialgebra_dual"} <= set(sites)
+            "coalgebra.py:dual_algebra", "coalgebra.py:subcoalgebra_on_span",
+            "combinat.py:_dual_iso", "finite_dual.py:bialgebra_dual",
+            "reflexivity.py:rat_module_to_comodule"} <= set(sites)
     assert untagged == []
 
 
