@@ -23,7 +23,9 @@ from .linalg import (
     axpy,
     bilinear,
     dense_vec,
+    dot,
     intersect_spans,
+    lincomb,
     prune,
     sparse_vec,
 )
@@ -38,16 +40,19 @@ def _trusted(cls, *values):
     certified input as (i) that input's transpose, whose axioms are the
     input's read backwards (dual_algebra, dual_coalgebra, comatrix_cover,
     comodule_to_dual_module, module_to_comodule, rat_module_to_comodule,
-    bialgebra_dual, unital_dual_compat), or (ii) the target of a map P whose
-    morphism check runs right after: a surjective P carries every axiom of
-    its source to its image, and its kernel is a two-sided ideal
+    bialgebra_dual, unital_dual_compat, and randgen's conjugate_coalgebra,
+    the transpose of C* transported along P^-T), or (ii) the target of a map
+    P whose morphism check runs right after: a surjective P carries every
+    axiom of its source to its image, and its kernel is a two-sided ideal
     (quotient_algebra, whose projection is onto by construction, with
-    _radical_quotient's radical as its kernel; randgen's conjugate_coalgebra
-    and conjugate_algebra; with P = identity, dual_unitalization_iso and the
-    coalgebra C of verify_pathdual_iso and verify_incidencedual_iso, whose
-    map C -> A* is then trusted by (i)).  An inclusion D -> C certifies D so:
-    its check runs on the transpose C* -> D*, onto as D's basis is independent
-    (subcoalgebra_on_span, hence coradical and subcoalgebra_generated).
+    _radical_quotient's radical as its kernel; randgen's conjugate_algebra
+    and the transport inside conjugate_coalgebra, whose check of
+    P^T: D* -> C* is that of P: C -> D; with P = identity,
+    dual_unitalization_iso and the coalgebra C of verify_pathdual_iso and
+    verify_incidencedual_iso, whose map C -> A* is then trusted by (i)).
+    An inclusion D -> C certifies D so: its check runs on the transpose
+    C* -> D*, onto as D's basis is independent (subcoalgebra_on_span, hence
+    coradical and subcoalgebra_generated).
     decompose_injectives re-checks nothing, by (i): its hit operators are the
     idempotents of C* acting through the transpose of C's coaction, so C's
     axioms make them multiply and sum as the idempotents do, onto coideals;
@@ -140,7 +145,8 @@ class FinAlgebra:
 
     def multiply(self, x: tuple, y: tuple) -> tuple:
         F = self.field
-        return dense_vec(F, self.dim, bilinear(F, self.mult, sparse_vec(F, x), sparse_vec(F, y)))
+        return dense_vec(F, self.dim, bilinear(F, self.mult, sparse_vec(F, x, self.dim),
+                                               sparse_vec(F, y, self.dim)))
 
     def basis_product(self, i: int, j: int) -> dict:
         return dict(self.mult.get((i, j), {}))
@@ -192,9 +198,7 @@ class AlgebraMorphism:
                 for b in right.get(a, ()):
                     js.update(holders.get(b, ()))
             for j in sorted(js):
-                lhs: dict = {}
-                for k, c in self.source.mult.get((i, j), {}).items():
-                    axpy(F, lhs, c, images[k])
+                lhs = lincomb(F, self.source.mult.get((i, j), {}), images)
                 if lhs != bilinear(F, self.target.mult, images[i], images[j]):
                     raise ValidationError(f"morphism not multiplicative at ({i},{j})")
         if self.unital:
@@ -380,19 +384,12 @@ def _radical_quotient(A: FinAlgebra) -> tuple[SubspaceIdeal, FinAlgebra, Algebra
             f"radical needs char 0 or p > dim+1 = {A.dim + 1}, got p = {p}")
     n = A.dim
     # t[l] = trace of left multiplication by b_l on the unitalization
-    t = [F.zero] * n
+    t: dict = {}
     for (l, k), terms in A.mult.items():
         c = terms.get(k)
         if c is not None:
-            t[l] = F.add(t[l], c)
-    ent = {}
-    for (i, j), terms in A.mult.items():
-        s = F.zero
-        for l, v in terms.items():
-            s = F.add(s, F.mul(v, t[l]))
-        if not F.is_zero(s):
-            ent[(i, j)] = s
-    G = SparseMatrix(F, n, n, ent)
+            t[l] = F.add(t.get(l, F.zero), c)
+    G = SparseMatrix(F, n, n, {ij: dot(F, terms, t) for ij, terms in A.mult.items()})
     rad = _trusted(SubspaceIdeal, A, tuple(RowSpace(F, n, G.kernel_basis()).basis()), "two")
     # nilpotency certificate: powers of the radical reach zero
     power = gens = [sparse_vec(F, b) for b in rad.basis]

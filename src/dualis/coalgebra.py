@@ -23,25 +23,17 @@ from .algebra import (
 )
 from .errors import DimensionMismatch, ValidationError
 from .fields import Field
-from .linalg import (RowSpace, SparseMatrix, axpy, basis_vec, dense_vec, prune, sparse_vec,
-                     tensor_legs)
+from .linalg import (RowSpace, SparseMatrix, basis_vec, dense_vec, dot, lincomb, prune, regroup,
+                     sparse_vec, tensor_legs)
 
 
 def transpose_comult(comult: dict) -> dict:
     """comult[k][(i,j)] = c  becomes  mult[(i,j)][k] = c."""
-    mult: dict = {}
-    for k, terms in comult.items():
-        for (i, j), v in terms.items():
-            mult.setdefault((i, j), {})[k] = v
-    return mult
+    return regroup(comult, lambda k, ij: (ij, k))
 
 
 def transpose_mult(mult: dict) -> dict:
-    comult: dict = {}
-    for (i, j), terms in mult.items():
-        for k, v in terms.items():
-            comult.setdefault(k, {})[(i, j)] = v
-    return comult
+    return regroup(mult, lambda ij, k: (k, ij))
 
 
 @dataclass(frozen=True)
@@ -73,20 +65,13 @@ class FinCoalgebra:
 
     def comult_of(self, x: tuple) -> dict:
         """delta(x) as a sparse {(i,j): scalar} tensor."""
-        F = self.field
-        acc: dict = {}
-        for k, xk in sparse_vec(F, x).items():
-            axpy(F, acc, xk, self.comult.get(k, {}))
-        return acc
+        return lincomb(self.field, sparse_vec(self.field, x, self.dim), self.comult)
 
     def counit_of(self, x: tuple):
         if self.counit is None:
             raise ValidationError("coalgebra has no counit")
         F = self.field
-        s = F.zero
-        for k, xk in enumerate(x):
-            s = F.add(s, F.mul(self.counit[k], xk))
-        return s
+        return dot(F, sparse_vec(F, x, self.dim), sparse_vec(F, self.counit))
 
     def is_counital(self) -> bool:
         return self.counit is not None
@@ -276,16 +261,10 @@ def subcoalgebra_on_span(C: FinCoalgebra, vectors) -> tuple[FinCoalgebra, Coalge
         # rewrite the tensor in the sub-basis, first by rows then by columns;
         # both succeed exactly when delta(vec) lies in W (x) W, since
         # C (x) W meets W (x) C in W (x) W
-        terms = {}
-        for i, row in rows.items():
-            for b, cb in enumerate(coords(row)):
-                if not F.is_zero(cb):
-                    terms.setdefault(b, {})[i] = cb
-        table = {}
-        for b, by_i in terms.items():
-            for a2, ca in enumerate(coords(by_i)):
-                if not F.is_zero(ca):
-                    table[(a2, b)] = ca
+        by_b = regroup({i: sparse_vec(F, coords(row)) for i, row in rows.items()},
+                       lambda i, b: (b, i))
+        table = {(a2, b): ca for b, by_i in by_b.items()
+                 for a2, ca in sparse_vec(F, coords(by_i)).items()}
         if table:
             comult[a] = table
     counit = None

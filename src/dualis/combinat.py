@@ -131,14 +131,12 @@ def _path_tables(F: Field, Q: Quiver, max_len: int | None) -> tuple[dict, tuple,
     flat = [p for lev in paths_by_length(Q, max_len)[0] for p in lev]
     index = {p: n for n, p in enumerate(flat)}
     comult = {}
-    for p, n in index.items():
+    for n, (v, arrows) in enumerate(flat):
+        # split point k gives the prefix of length k, so no two keys collide
         terms = {}
-        arrows = p[1]
         for k in range(len(arrows) + 1):
-            pre = (p[0], arrows[:k])
-            suf = (path_target(Q, pre), arrows[k:])
-            key = (index[pre], index[suf])
-            terms[key] = F.add(terms.get(key, F.zero), F.one)
+            pre = (v, arrows[:k])
+            terms[(index[pre], index[(path_target(Q, pre), arrows[k:])])] = F.one
         comult[n] = terms
     return comult, tuple(F.zero if p[1] else F.one for p in flat), flat
 
@@ -178,17 +176,21 @@ def verify_pathdual_iso(F: Field, Q: Quiver, max_len: int | None = None
 # posets and incidence structures
 
 def transitive_closure(pairs) -> set:
-    """Smallest transitive relation containing the given pairs."""
-    strict = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(strict):
-            for (c, d) in list(strict):
-                if b == c and (a, d) not in strict:
-                    strict.add((a, d))
-                    changed = True
-    return strict
+    """Smallest transitive relation containing the given pairs: (a, b) for
+    each b reachable from a by one or more pairs, one search per a."""
+    succ: dict = {}
+    for a, b in pairs:
+        succ.setdefault(a, set()).add(b)
+    closure = set()
+    for a in succ:
+        seen, stack = set(), list(succ[a])
+        while stack:
+            b = stack.pop()
+            if b not in seen:
+                seen.add(b)
+                stack.extend(succ.get(b, ()))
+        closure.update((a, b) for b in seen)
+    return closure
 
 
 @dataclass(frozen=True)

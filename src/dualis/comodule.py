@@ -22,8 +22,8 @@ from .algebra import FinAlgebra, _trusted, check_associative, multiples
 from .coalgebra import FinCoalgebra, counitalize, dual_algebra, dual_coalgebra
 from .errors import DimensionMismatch, ValidationError
 from .fields import Field
-from .linalg import (RowSpace, SparseMatrix, axpy, basis_vec, bilinear, dense_vec, prune,
-                     sparse_vec, tensor_legs)
+from .linalg import (RowSpace, SparseMatrix, basis_vec, bilinear, dense_vec, lincomb, prune,
+                     regroup, sparse_vec, tensor_legs)
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,7 @@ class FinComodule:
     def coaction_of(self, x: tuple) -> dict:
         """rho(x) as a sparse {(s,k): scalar} tensor."""
         F = self.coalgebra.field
-        acc: dict = {}
-        for t, xt in sparse_vec(F, x).items():
-            axpy(F, acc, xt, self.coaction.get(t, {}))
-        return acc
+        return lincomb(F, sparse_vec(F, x, self.dim), self.coaction)
 
 
 @dataclass(frozen=True)
@@ -77,15 +74,14 @@ class FinModule:
         if A.unit is not None:
             unit = sparse_vec(F, A.unit)
             for t in range(self.dim):
-                acc: dict = {}
-                for i, ui in unit.items():
-                    axpy(F, acc, ui, self.action.get((i, t), {}))
-                if acc != {t: F.one}:
+                if bilinear(F, self.action, unit, {t: F.one}) != {t: F.one}:
                     raise ValidationError(f"unit does not act as identity on {t}")
 
     def act(self, a: tuple, x: tuple) -> tuple:
-        F = self.algebra.field
-        return dense_vec(F, self.dim, bilinear(F, self.action, sparse_vec(F, a), sparse_vec(F, x)))
+        A = self.algebra
+        F = A.field
+        return dense_vec(F, self.dim, bilinear(F, self.action, sparse_vec(F, a, A.dim),
+                                               sparse_vec(F, x, self.dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -96,21 +92,14 @@ def comodule_counitalize(M: FinComodule) -> tuple[FinComodule, FinCoalgebra]:
     C = M.coalgebra
     F = C.field
     C1, _ = counitalize(C)
-    coaction = {}
-    for t in range(M.dim):
-        terms = dict(M.coaction.get(t, {}))
-        terms[(t, C.dim)] = F.add(terms.get((t, C.dim), F.zero), F.one)
-        coaction[t] = terms
+    # C's keys stop below the new grouplike e = c_dim, so every entry is fresh
+    coaction = {t: {**M.coaction.get(t, {}), (t, C.dim): F.one} for t in range(M.dim)}
     return FinComodule(C1, M.dim, coaction), C1
 
 
 def transpose_coaction(coaction: dict) -> dict:
     """coaction[t][(s,k)] = c  becomes  action[(k,t)][s] = c."""
-    action: dict = {}
-    for t, terms in coaction.items():
-        for (s, k), v in terms.items():
-            action.setdefault((k, t), {})[s] = v
-    return action
+    return regroup(coaction, lambda t, sk: ((sk[1], t), sk[0]))
 
 
 def comodule_to_dual_module(M: FinComodule) -> FinModule:
@@ -122,10 +111,7 @@ def comodule_to_dual_module(M: FinComodule) -> FinModule:
 def module_to_comodule(N: FinModule) -> FinComodule:
     """Inverse transpose: a module over a finite-dimensional algebra is a
     comodule over the dual coalgebra.  Trusted (i): the transpose of N."""
-    coaction: dict = {}
-    for (i, t), terms in N.action.items():
-        for s, v in terms.items():
-            coaction.setdefault(t, {})[(s, i)] = v
+    coaction = regroup(N.action, lambda it, s: (it[1], (s, it[0])))
     return _trusted(FinComodule, dual_coalgebra(N.algebra), N.dim, coaction)
 
 

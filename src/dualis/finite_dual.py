@@ -41,7 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import Field
-from .linalg import RowSpace, SparseMatrix, axpy, bilinear, prune, sparse_vec
+from .linalg import RowSpace, SparseMatrix, axpy, bilinear, dot, lincomb, outer, prune, sparse_vec
 
 
 class CancelToken:
@@ -157,14 +157,11 @@ class GradedFunctional:
         object.__setattr__(self, "values", vals)
 
     def __call__(self, x: dict):
-        F = self.field
-        s = F.zero
-        for key, c in x.items():
+        for key in x:
             if key[0] > self.known_degree:
                 raise InsufficientTruncation(
                     f"functional not known at degree {key[0]}")
-            s = F.add(s, F.mul(c, self.values.get(key, F.zero)))
-        return s
+        return dot(self.field, x, self.values)
 
 
 def seq_functional(F: Field, seq) -> GradedFunctional:
@@ -348,18 +345,17 @@ def delta_of_functional(G: GradedAlgebra, f: GradedFunctional, bound: int,
     gs = [GradedFunctional(F, vals, g_known) for vals in gs_vals]
     # verify the factorization on all pairs both sides can see
     min_h = min(h_deg) if h_deg else D
+    h_at = {b: {i: h({b: F.one}) for i, h in enumerate(hs)}
+            for b in G.basis_keys() if b[0] <= min_h}
     for a in G.basis_keys():
         if a[0] > g_known:
             continue
-        for b in G.basis_keys():
-            if a[0] + b[0] > D or b[0] > min_h:
+        g_at = {i: g({a: F.one}) for i, g in enumerate(gs)}
+        for b, h_b in h_at.items():
+            if a[0] + b[0] > D:
                 continue
-            prod = G.mul_flat({a: F.one}, {b: F.one})
-            lhs = f(prod)
-            rhs = F.zero
-            for g, h in zip(gs, hs):
-                rhs = F.add(rhs, F.mul(g({a: F.one}), h({b: F.one})))
-            if lhs != rhs:
+            lhs = f(G.mul_flat({a: F.one}, {b: F.one}))
+            if lhs != dot(F, g_at, h_b):
                 raise ValidationError(f"delta factorization fails at ({a},{b})")
     return list(zip(gs, hs))
 
@@ -446,37 +442,25 @@ class FinBialgebra:
         if A.unit is None or C.counit is None:
             raise IncompatibleStructure("bialgebra needs a unit and a counit")
         n = A.dim
+        eps = sparse_vec(F, C.counit)
         for i in range(n):
             for j in range(n):
-                lhs: dict = {}
-                for k, c in A.mult.get((i, j), {}).items():
-                    axpy(F, lhs, c, C.comult.get(k, {}))
+                prod = A.mult.get((i, j), {})
+                # delta(b_i) delta(b_j), a product in the algebra A (x) A
                 rhs: dict = {}
                 for (p, q), v in C.comult.get(i, {}).items():
                     for (r, s), w in C.comult.get(j, {}).items():
-                        vw = F.mul(v, w)
-                        qs = A.mult.get((q, s), {})
-                        for u, cu in A.mult.get((p, r), {}).items():
-                            axpy(F, rhs, F.mul(vw, cu), {(u, t): ct for t, ct in qs.items()})
-                if lhs != rhs:
+                        axpy(F, rhs, F.mul(v, w),
+                             outer(F, A.mult.get((p, r), {}), A.mult.get((q, s), {})))
+                if lincomb(F, prod, C.comult) != rhs:
                     raise IncompatibleStructure(
                         f"coproduct not multiplicative at ({i},{j})")
-                eps_prod = F.zero
-                for k, c in A.mult.get((i, j), {}).items():
-                    eps_prod = F.add(eps_prod, F.mul(c, C.counit[k]))
-                if eps_prod != F.mul(C.counit[i], C.counit[j]):
+                if dot(F, prod, eps) != F.mul(C.counit[i], C.counit[j]):
                     raise IncompatibleStructure(f"counit not multiplicative at ({i},{j})")
-        unit_cop = C.comult_of(A.unit)
-        expect = {}
-        for i, u in enumerate(A.unit):
-            if F.is_zero(u):
-                continue
-            for j, v in enumerate(A.unit):
-                if not F.is_zero(v):
-                    expect[(i, j)] = F.mul(u, v)
-        if unit_cop != expect:
+        unit = sparse_vec(F, A.unit)
+        if C.comult_of(unit) != outer(F, unit, unit):
             raise IncompatibleStructure("coproduct of the unit is not unit (x) unit")
-        if C.counit_of(A.unit) != F.one:
+        if dot(F, unit, eps) != F.one:
             raise IncompatibleStructure("counit of the unit is not 1")
         if self.antipode is not None:
             S = self.antipode
@@ -489,7 +473,7 @@ class FinBialgebra:
                 for (i, j), v in C.comult.get(k, {}).items():
                     axpy(F, left, v, bilinear(F, A.mult, cols[i], {j: F.one}))
                     axpy(F, right, v, bilinear(F, A.mult, {i: F.one}, cols[j]))
-                target = axpy(F, {}, C.counit[k], sparse_vec(F, A.unit))
+                target = axpy(F, {}, C.counit[k], unit)
                 if left != target or right != target:
                     raise IncompatibleStructure(f"antipode axiom fails at {k}")
 

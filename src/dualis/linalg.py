@@ -1,10 +1,11 @@
 """Sparse exact linear algebra over Q and F_p.
 
 Sparse vectors, tensors and structure tables are {key: nonzero scalar}
-dicts, and every module updates them through one kernel: axpy, bilinear
-and prune.  Matrices store only nonzero entries.  All elimination goes
-through RowSpace, which keeps the unique reduced row echelon form of the
-vectors added so far: spans grow one, intersections read one built on
+dicts, and every module works on them through one kernel: axpy, lincomb,
+dot, outer and bilinear sum and multiply, tensor_legs and regroup re-key,
+and prune cleans.  Matrices store only nonzero entries.  All elimination
+goes through RowSpace, which keeps the unique reduced row echelon form of
+the vectors added so far: spans grow one, intersections read one built on
 twice the columns (Zassenhaus), and SparseMatrix rank, kernel, solve and
 inverse read the one built from their rows.  A row's pivot is its first
 nonzero entry once the earlier pivots are cleared, so every result is
@@ -38,10 +39,13 @@ from .fields import Field
 def basis_vec(F: Field, n: int, i: int) -> tuple:
     return tuple(F.one if j == i else F.zero for j in range(n))
 
-def sparse_vec(F: Field, x) -> dict:
-    """x without its zero entries; a sparse dict is returned as it is."""
+def sparse_vec(F: Field, x, n: int | None = None) -> dict:
+    """x without its zero entries; a sparse dict is returned as it is.  A
+    tuple must have length n when n is given."""
     if isinstance(x, dict):
         return x
+    if n is not None and len(x) != n:
+        raise DimensionMismatch(f"vector of length {len(x)}, expected {n}")
     return {i: v for i, v in enumerate(x) if not F.is_zero(v)}
 
 def dense_vec(F: Field, n: int, x: dict) -> tuple:
@@ -65,6 +69,34 @@ def axpy(F: Field, acc: dict, c, x: dict) -> dict:
     return acc
 
 
+def lincomb(F: Field, coeffs: dict, vectors) -> dict:
+    """Sum of coeffs[k] * vectors[k]; vectors is a list or a dict, and a key
+    the dict lacks stands for the zero vector."""
+    acc: dict = {}
+    get = vectors.get if isinstance(vectors, dict) else vectors.__getitem__
+    for k, c in coeffs.items():
+        x = get(k)
+        if x:
+            axpy(F, acc, c, x)
+    return acc
+
+
+def dot(F: Field, x: dict, y: dict):
+    """Sum of x[k] * y[k] over the keys both hold."""
+    s = F.zero
+    for k, v in x.items():
+        w = y.get(k)
+        if w is not None:
+            s = F.add(s, F.mul(v, w))
+    return s
+
+
+def outer(F: Field, x: dict, y: dict) -> dict:
+    """The tensor {(i, j): x[i] * y[j]}; a product of nonzero scalars is
+    nonzero, so nothing needs pruning."""
+    return {(i, j): F.mul(u, v) for i, u in x.items() for j, v in y.items()}
+
+
 def bilinear(F: Field, table: dict, x: dict, y: dict) -> dict:
     """Sum of x[i] * y[j] * table[(i, j)] over the pairs the table holds."""
     acc: dict = {}
@@ -83,6 +115,17 @@ def tensor_legs(tensor: dict, outer: int = 0) -> dict:
     for key, v in tensor.items():
         legs.setdefault(key[outer], {})[key[1 - outer]] = v
     return legs
+
+
+def regroup(table: dict, split) -> dict:
+    """Re-key a nested {a: {b: v}} table as {o: {i: v}}, (o, i) = split(a, b):
+    the one way structure tables are transposed."""
+    out: dict = {}
+    for a, terms in table.items():
+        for b, v in terms.items():
+            o, i = split(a, b)
+            out.setdefault(o, {})[i] = v
+    return out
 
 
 def prune(F: Field, table: dict) -> dict:
@@ -186,14 +229,8 @@ class SparseMatrix:
 
     def apply(self, x: tuple) -> tuple:
         """Matrix times column vector."""
-        if len(x) != self.cols:
-            raise DimensionMismatch("vector length != cols")
         F = self.field
-        out = [F.zero] * self.rows
-        for (i, j), v in self.entries.items():
-            if not F.is_zero(x[j]):
-                out[i] = F.add(out[i], F.mul(v, x[j]))
-        return tuple(out)
+        return dense_vec(F, self.rows, lincomb(F, sparse_vec(F, x, self.cols), self.columns()))
 
     # -- elimination-backed queries -------------------------------------------
 

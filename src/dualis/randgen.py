@@ -12,13 +12,13 @@ from __future__ import annotations
 from random import Random
 
 from .algebra import AlgebraMorphism, FinAlgebra, _trusted, matrix_algebra
-from .coalgebra import CoalgebraMorphism, FinCoalgebra, comatrix
+from .coalgebra import CoalgebraMorphism, FinCoalgebra, comatrix, dual_algebra, dual_coalgebra
 from .combinat import Poset, Quiver, path_coalgebra, paths_by_length, transitive_closure
 from .comodule import FinComodule
 from .errors import ValidationError
 from .fields import Field
 from .finite_dual import bialgebra_dual, group_bialgebra
-from .linalg import SparseMatrix, axpy, bilinear
+from .linalg import SparseMatrix, bilinear, lincomb, tensor_legs
 
 
 def rand_scalar(F: Field, rng: Random):
@@ -53,44 +53,28 @@ def rand_invertible(F: Field, rng: Random, n: int) -> SparseMatrix:
 def conjugate_coalgebra(C: FinCoalgebra, P: SparseMatrix
                         ) -> tuple[FinCoalgebra, CoalgebraMorphism]:
     """Transport the structure along P; returns the new coalgebra D and the
-    isomorphism from C onto it.  Trusted (ii): the CoalgebraMorphism check
-    of P: C -> D certifies D."""
-    F = C.field
+    isomorphism from C onto it.  D is the transpose of C* transported along
+    P^-T.  Trusted (ii): that transport's check of P^T: D* -> C* is the
+    check of P: C -> D.  Trusted (i): D and P are transposes of D* and P^T."""
     Pinv = P.inverse()
-    cols = P.columns()
-    comult = {}
-    for k, v in enumerate(Pinv.columns()):
-        terms: dict = {}
-        for a, va in v.items():
-            for (i, j), w in C.comult.get(a, {}).items():
-                coeff = F.mul(va, w)
-                for ii, x in cols[i].items():
-                    axpy(F, terms, F.mul(coeff, x), {(ii, jj): y for jj, y in cols[j].items()})
-        if terms:
-            comult[k] = terms
-    counit = None
-    if C.counit is not None:
-        counit = tuple(Pinv.transpose().apply(tuple(C.counit)))
-    D = _trusted(FinCoalgebra, F, C.dim, comult, counit)
-    iso = CoalgebraMorphism(C, D, P, counital=C.counit is not None)
-    return D, iso
+    D = dual_coalgebra(_conjugate(dual_algebra(C), Pinv.transpose(), P.transpose()))
+    return D, _trusted(CoalgebraMorphism, C, D, P, C.counit is not None)
 
 
 def conjugate_algebra(A: FinAlgebra, P: SparseMatrix) -> FinAlgebra:
-    """Transport the structure along P.  Trusted (ii): the AlgebraMorphism
-    check of P^-1 back onto A (the sparse original table) certifies it."""
+    """Transport the structure along P.  Trusted (ii), by _conjugate."""
+    return _conjugate(A, P, P.inverse())
+
+
+def _conjugate(A: FinAlgebra, P: SparseMatrix, Pinv: SparseMatrix) -> FinAlgebra:
+    """A transported along P, given P's inverse.  Trusted (ii): the
+    AlgebraMorphism check of P^-1 back onto A (the sparse original table)
+    certifies it."""
     F = A.field
-    Pinv = P.inverse()
     inv_cols = Pinv.columns()
     cols = P.columns()
-    mult = {}
-    for i, vi in enumerate(inv_cols):
-        for j, vj in enumerate(inv_cols):
-            table: dict = {}
-            for k, c in bilinear(F, A.mult, vi, vj).items():
-                axpy(F, table, c, cols[k])
-            if table:
-                mult[(i, j)] = table
+    mult = {(i, j): table for i, vi in enumerate(inv_cols) for j, vj in enumerate(inv_cols)
+            if (table := lincomb(F, bilinear(F, A.mult, vi, vj), cols))}
     unit = tuple(P.apply(tuple(A.unit))) if A.unit is not None else None
     B = _trusted(FinAlgebra, F, A.dim, mult, unit)
     AlgebraMorphism(B, A, Pinv, unital=unit is not None)
@@ -237,12 +221,9 @@ def rand_comodule(rng: Random, C: FinCoalgebra, copies: int = 1) -> FinComodule:
     cols = P.columns()
     new = {}
     for t, v in enumerate(P.inverse().columns()):
-        terms: dict = {}
-        for a, va in v.items():
-            for (s, k), w in coaction.get(a, {}).items():
-                axpy(F, terms, F.mul(va, w), {(ss, k): x for ss, x in cols[s].items()})
-        if terms:
-            new[t] = terms
+        # rho(P^-1 m_t), with P applied to its left leg; FinComodule drops empty rows
+        legs = tensor_legs(lincomb(F, v, coaction), 1)
+        new[t] = {(s, k): x for k, leg in legs.items() for s, x in lincomb(F, leg, cols).items()}
     return FinComodule(C, dim, new)
 
 

@@ -29,9 +29,8 @@ from .errors import (
     NotLeftCoreflexive,
     ValidationError,
 )
-from .fields import Field
 from .idempotents import complete_primitive_idempotents, verify_family
-from .linalg import RowSpace, SparseMatrix, axpy, dense_vec, sparse_vec
+from .linalg import RowSpace, SparseMatrix, dense_vec, dot, lincomb, sparse_vec, tensor_legs
 
 
 @dataclass(frozen=True)
@@ -56,15 +55,14 @@ class InjectiveDecomposition:
 
 
 def _hit_matrix(C: FinCoalgebra, e: tuple, side: str) -> SparseMatrix:
+    """Column k is P_e(c_k): e evaluated on the right tensor factors of
+    delta(c_k) on the right side, on the left ones on the left side."""
     F = C.field
-    ent: dict = {}
-    for k, table in C.comult.items():
-        for (i, j), v in table.items():
-            if side == "right":
-                axpy(F, ent, e[j], {(i, k): v})
-            else:
-                axpy(F, ent, e[i], {(j, k): v})
-    return SparseMatrix(F, C.dim, C.dim, ent)
+    es = sparse_vec(F, e)
+    kept = 0 if side == "right" else 1
+    return SparseMatrix(F, C.dim, C.dim, {
+        (i, k): dot(F, leg, es)
+        for k, table in C.comult.items() for i, leg in tensor_legs(table, kept).items()})
 
 
 def decompose_injectives(C: FinCoalgebra, side: str = "right",
@@ -98,9 +96,8 @@ def counit_from_decomposition(dec: InjectiveDecomposition) -> tuple:
     """The counit recovered as the sum of the dual idempotents, which the
     family checks already certified to sum to the unit of C*, the counit."""
     F = dec.coalgebra.field
-    total: dict = {}
-    for e in dec.idempotents:
-        axpy(F, total, F.one, sparse_vec(F, e))
+    ones = dict.fromkeys(range(len(dec.idempotents)), F.one)
+    total = lincomb(F, ones, [sparse_vec(F, e) for e in dec.idempotents])
     return dense_vec(F, dec.coalgebra.dim, total)
 
 
@@ -228,11 +225,11 @@ def hopf_selfdual_check(H) -> dict:
     }
 
 
-def rat_dual_template(template, F: Field, radius: int, ambient_radius: int,
+def rat_dual_template(template, radius: int, ambient_radius: int,
                       bound: int | None = None) -> dict:
     """Vertex blocks of a truncated path coalgebra with completeness flags.
 
-    The path coalgebra over F is truncated at ambient_radius while blocks are
+    The path coalgebra is truncated at ambient_radius while blocks are
     only formed for vertices within radius; every path of length <= radius
     anchored in the window then survives intact, which needs ambient >=
     2*radius.  The right (left) block of v is spanned by the paths ending
@@ -290,8 +287,7 @@ def rat_dual_template(template, F: Field, radius: int, ambient_radius: int,
     }
 
 
-def semiperfect_iff_injective_harness(template, F: Field,
-                                      radii=(2, 3, 4, 5, 6)) -> dict:
+def semiperfect_iff_injective_harness(template, radii=(2, 3, 4, 5, 6)) -> dict:
     """Cross-validate bounded semiperfectness against block completeness.
 
     For each side and radius the bounded walk check must agree with the
@@ -301,7 +297,7 @@ def semiperfect_iff_injective_harness(template, F: Field,
     records = []
     disagreements = 0
     for radius in radii:
-        data = rat_dual_template(template, F, radius, 2 * radius)
+        data = rat_dual_template(template, radius, 2 * radius)
         for side in ("right", "left"):
             rep = semiperfect_check(template, side, radius, data["bound"])
             ann = data["sides"][side]["annihilator_dim"]

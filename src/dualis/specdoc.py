@@ -20,7 +20,8 @@ schema in CHECKS lists: each is converted to its type when the document is
 parsed, and an absent or null one takes its default.  Unknown check names
 raise UnknownCheck; missing, dangling or wrong-kind refs
 UnresolvedReference; malformed JSON SpecParseError with line and column, as
-do a dim above MAX_SPEC_DIM, a bad template name or ray count, a non-object
+do a dim above MAX_SPEC_DIM, a poset with more than MAX_SPEC_DIM elements,
+relation pairs or intervals, a bad template name or ray count, a non-object
 "params", a param key outside the check's schema and a param value of the
 wrong type.
 """
@@ -188,8 +189,15 @@ def _build_template(block, doc_objects):
 
 def _build_poset(block, doc_objects):
     elements = tuple(block["elements"])
-    strict = transitive_closure((a, b) for a, b in block.get("relation", []) if a != b)
+    pairs = [(a, b) for a, b in block.get("relation", [])]
+    if max(len(elements), len(pairs)) > MAX_SPEC_DIM:
+        raise SpecParseError(f"poset of {len(elements)} elements, {len(pairs)} pairs: "
+                             f"at most {MAX_SPEC_DIM} of each")
+    strict = transitive_closure((a, b) for a, b in pairs if a != b)
     rel = frozenset(strict) | frozenset((e, e) for e in elements)
+    # the incidence structures have one basis element per interval a <= b
+    if len(rel) > MAX_SPEC_DIM:
+        raise SpecParseError(f"poset has {len(rel)} intervals, more than {MAX_SPEC_DIM}")
     return Poset(elements, rel)
 
 

@@ -409,8 +409,7 @@ def c10_semiperfect_cross_validation(knobs: SuiteKnobs, rng: Random) -> dict:
     }
     records = 0
     for name, template in templates:
-        out = semiperfect_iff_injective_harness(template, QQ,
-                                                radii=knobs.radii)
+        out = semiperfect_iff_injective_harness(template, radii=knobs.radii)
         if out["disagreements"]:
             _fail("c10", f"{name}: {out['disagreements']} disagreements",
                   template=name)

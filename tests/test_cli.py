@@ -120,6 +120,13 @@ def test_input_errors_exit_two(tmp_path, capsys):
     p.write_text(json.dumps(huge))
     assert main(["unitalize", str(p), "--object", "a"]) == 2
     assert "dim 3000000" in capsys.readouterr().err
+    # a chain within the element and pair caps, whose closed relation has
+    # 500,500 intervals
+    chain = {"type": "poset", "elements": list(range(1000)),
+             "relation": [[i, i + 1] for i in range(999)]}
+    p.write_text(json.dumps({"objects": {"p": chain}}))
+    assert main(["run", str(p)]) == 2
+    assert "intervals" in capsys.readouterr().err
 
 
 def test_suite_verb(capsys):

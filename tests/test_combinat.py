@@ -1,5 +1,7 @@
 """Path and incidence structures, templates, semiperfectness certificates."""
 
+import random
+
 import pytest
 
 from dualis.coalgebra import CoalgebraMorphism
@@ -144,6 +146,32 @@ def test_poset_validation():
     closed = transitive_closure({(0, 1), (1, 2)})
     assert closed == {(0, 1), (1, 2), (0, 2)}
     Poset((0, 1, 2), frozenset(closed | {(0, 0), (1, 1), (2, 2)}))
+
+
+def _closure_fixpoint(pairs) -> set:
+    """Rescan every pair against every pair until nothing changes."""
+    strict = set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(strict):
+            for (c, d) in list(strict):
+                if b == c and (a, d) not in strict:
+                    strict.add((a, d))
+                    changed = True
+    return strict
+
+
+def test_transitive_closure_matches_the_fixpoint():
+    rng = random.Random("closure")
+    for trial in range(200):
+        n = rng.randint(1, 9)
+        pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))}
+        assert transitive_closure(pairs) == _closure_fixpoint(pairs), pairs
+    # the pairs may come from a one-shot iterator, as the spec parser passes them
+    assert transitive_closure(iter([(0, 1), (1, 0)])) == {(0, 1), (1, 0), (0, 0), (1, 1)}
+    chain = transitive_closure((i, i + 1) for i in range(1023))
+    assert len(chain) == 1023 * 1024 // 2
 
 
 def test_poset_counts_up_to_iso():

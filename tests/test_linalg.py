@@ -13,8 +13,12 @@ from dualis.linalg import (
     SparseMatrix,
     axpy,
     bilinear,
+    dot,
     intersect_spans,
+    lincomb,
+    outer,
     prune,
+    regroup,
     sparse_vec,
     span_basis,
 )
@@ -511,6 +515,29 @@ def _bilinear_reference(field, table, x, y):
     return {k: v for k, v in out.items() if not field.is_zero(v)}
 
 
+def _lincomb_reference(field, coeffs, vectors):
+    if isinstance(vectors, list):
+        vectors = dict(enumerate(vectors))
+    out = {}
+    for k, c in coeffs.items():
+        for key, v in vectors.get(k, {}).items():
+            out[key] = field.add(out.get(key, field.zero), field.mul(c, v))
+    return {k: v for k, v in out.items() if not field.is_zero(v)}
+
+
+def _dot_reference(field, x, y):
+    s = field.zero
+    for k in set(x) | set(y):
+        s = field.add(s, field.mul(x.get(k, field.zero), y.get(k, field.zero)))
+    return s
+
+
+def _kernel_result_ok(field, out: dict) -> bool:
+    """No zero stored, and over Q every value an int when integral."""
+    return all(not field.is_zero(v) and (field.characteristic or _is_canonical_rational(v))
+               for v in out.values())
+
+
 def _rand_scalar(field, rng):
     if field.characteristic == 0:
         return F(rng.randint(-4, 4), rng.randint(1, 3))
@@ -528,7 +555,7 @@ def test_sparse_kernel_matches_plain_loops(field):
     key_sets = [list(range(6)),
                 [(i, j) for i in range(3) for j in range(3)],
                 [(i, j, k) for i in range(2) for j in range(2) for k in range(3)]]
-    cancelled = 0
+    cancelled = lin_cancelled = 0
     for trial in range(300):
         keys = key_sets[trial % 3]
         x = _rand_sparse(field, rng, keys)
@@ -544,8 +571,30 @@ def test_sparse_kernel_matches_plain_loops(field):
         table = {(i, j): _rand_sparse(field, rng, keys) for i in range(4) for j in range(4)
                  if rng.random() < 0.5}
         x, y = _rand_sparse(field, rng, list(range(4))), _rand_sparse(field, rng, list(range(4)))
-        assert bilinear(field, prune(field, table), x, y) == _bilinear_reference(field, table, x, y)
-    assert cancelled > 0
+        got = bilinear(field, prune(field, table), x, y)
+        assert got == _bilinear_reference(field, table, x, y) and _kernel_result_ok(field, got)
+        # lincomb over a list, and over a dict that lacks some keys; vector 3
+        # repeats vector 0 against the opposite coefficient, so they cancel
+        vectors = [_rand_sparse(field, rng, keys) for _ in range(4)]
+        if 0 in x and trial % 2:
+            vectors[3], x[3] = dict(vectors[0]), field.neg(x[0])
+        for vecs in (vectors, {k: v for k, v in enumerate(vectors) if rng.random() < 0.7}):
+            got = lincomb(field, x, vecs)
+            assert got == _lincomb_reference(field, x, vecs) and _kernel_result_ok(field, got)
+        lin_cancelled += len(set(vectors[0]) - set(lincomb(field, x, vectors)))
+        s = dot(field, x, y)
+        assert s == _dot_reference(field, x, y) and _kernel_result_ok(field, {0: s} if s else {})
+        got = outer(field, x, y)
+        prods = {(i, j): field.mul(x.get(i, field.zero), y.get(j, field.zero))
+                 for i in range(4) for j in range(4)}
+        assert got == {k: v for k, v in prods.items() if not field.is_zero(v)}
+        assert _kernel_result_ok(field, got)
+        flipped = {}
+        for (i, j), terms in table.items():
+            for k, v in terms.items():
+                flipped.setdefault(k, {})[(j, i)] = v
+        assert regroup(table, lambda ij, k: (k, ij[::-1])) == flipped
+    assert cancelled > 0 and lin_cancelled > 0
 
 
 def test_prune_drops_zero_scalars_and_empty_rows():

@@ -216,7 +216,7 @@ def test_hopf_selfdual_group_algebra():
 
 
 def test_ray_template_blocks():
-    data = rat_dual_template(make_template("ray"), QQ, 2, 4)
+    data = rat_dual_template(make_template("ray"), 2, 4)
     right = data["sides"]["right"]
     assert right["window_dim"] == 6
     assert right["annihilator_dim"] == 0
@@ -236,7 +236,7 @@ def test_template_anchor_groups_are_the_injective_blocks(name, monkeypatch):
     template = make_template(name)
     with monkeypatch.context() as m:
         m.setattr(FinCoalgebra, "__post_init__", lambda self: pytest.fail("coalgebra built"))
-        data = rat_dual_template(template, QQ, 2, 4)
+        data = rat_dual_template(template, 2, 4)
     assert "coalgebra" not in data
     assert data["bound"] == len(data["paths"]) + 1
     Q = template.truncate(4)
@@ -253,7 +253,7 @@ def test_template_anchor_groups_are_the_injective_blocks(name, monkeypatch):
 
 def test_closure_radius_guard():
     with pytest.raises(InsufficientClosureRadius):
-        rat_dual_template(make_template("ray"), QQ, 3, 5)
+        rat_dual_template(make_template("ray"), 3, 5)
 
 
 def test_harness_agreement_on_templates():
@@ -264,8 +264,7 @@ def test_harness_agreement_on_templates():
         "loop": {"right": "fails", "left": "fails"},
     }
     for name, sides in expectations.items():
-        out = semiperfect_iff_injective_harness(make_template(name), QQ,
-                                                radii=(2, 3))
+        out = semiperfect_iff_injective_harness(make_template(name), radii=(2, 3))
         assert out["disagreements"] == 0, name
         for rec in out["records"]:
             assert rec["status"] == sides[rec["side"]], (name, rec)
@@ -276,8 +275,7 @@ def test_harness_agreement_on_templates():
 
 
 def test_harness_finite_template_holds_both_sides():
-    out = semiperfect_iff_injective_harness(FiniteTemplate(A3), QQ,
-                                            radii=(2, 3))
+    out = semiperfect_iff_injective_harness(FiniteTemplate(A3), radii=(2, 3))
     assert out["disagreements"] == 0
     for rec in out["records"]:
         assert rec["status"] == "holds"

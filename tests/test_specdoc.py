@@ -185,6 +185,20 @@ def test_star_rays_are_capped_at_parse_time():
             star(rays)
 
 
+def test_posets_are_capped_at_parse_time():
+    def poset(n, pairs):
+        return parse_spec(doc_text({"p": {"type": "poset", "elements": list(range(n)),
+                                          "relation": pairs}})).resolve("p")
+
+    # a chain of n elements given by its covers has n(n+1)/2 intervals
+    assert len(poset(44, [[i, i + 1] for i in range(43)]).relation) == 990
+    for n, pairs, what in ((46, [[i, i + 1] for i in range(45)], "1081 intervals"),
+                           (1025, [], "1025 elements"),
+                           (2, [[0, 1]] * 1025, "1025 pairs")):
+        with pytest.raises(SpecParseError, match=what):
+            poset(n, pairs)
+
+
 def test_check_params_are_typed_at_parse_time():
     ray = {"t": {"type": "quiver-template", "name": "ray"}}
 

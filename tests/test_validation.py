@@ -16,6 +16,7 @@ from dualis.algebra import (
     AlgebraMorphism,
     FinAlgebra,
     SubspaceIdeal,
+    matrix_algebra,
     quotient_algebra,
     radical,
     regular_matrix_embedding,
@@ -31,6 +32,7 @@ from dualis.combinat import (
 from dualis.coalgebra import (
     CoalgebraMorphism,
     FinCoalgebra,
+    comatrix,
     coradical,
     dual_algebra,
     dual_coalgebra,
@@ -39,7 +41,7 @@ from dualis.coalgebra import (
     transpose_mult,
 )
 from dualis.comodule import FinComodule, FinModule
-from dualis.errors import DualisError
+from dualis.errors import DimensionMismatch, DualisError
 from dualis.fields import GF, QQ
 from dualis.finite_dual import FinBialgebra, GradedAlgebra, bialgebra_dual, group_bialgebra
 from dualis.linalg import SparseMatrix, basis_vec
@@ -222,6 +224,30 @@ def test_derived_structures_equal_the_validated_construction(F, monkeypatch):
         assert verify_incidencedual_iso(F, P)[1].source == incidence_coalgebra(F, P)[0]
 
 
+_COMATRIX = comatrix(QQ, 2)
+_MATRIX = matrix_algebra(QQ, 2)
+_E0 = basis_vec(QQ, 4, 0)
+_ENTRY_POINTS = {
+    "comult_of": _COMATRIX.comult_of,
+    "counit_of": _COMATRIX.counit_of,
+    "coaction_of": FinComodule(_COMATRIX, 4, _COMATRIX.comult).coaction_of,
+    "multiply-left": lambda x: _MATRIX.multiply(x, _E0),
+    "multiply-right": lambda x: _MATRIX.multiply(_E0, x),
+    "act-algebra": lambda x: FinModule(_MATRIX, 4, _MATRIX.mult).act(x, _E0),
+    "act-module": lambda x: FinModule(_MATRIX, 4, _MATRIX.mult).act(_E0, x),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("x", [(1, 0, 0, 0, 5), (0,)], ids=["long", "short"])
+def test_coordinate_tuples_of_the_wrong_length_raise(entry, x):
+    # a coordinate past the dimension must not be dropped, nor a missing one
+    # read as zero
+    assert _ENTRY_POINTS[entry](_E0) is not None
+    with pytest.raises(DimensionMismatch):
+        _ENTRY_POINTS[entry](x)
+
+
 def test_every_trusted_site_names_its_rule():
     # a function that builds through _trusted skips its constructor's checks,
     # so its docstring must say which certificate stands in for them
@@ -240,6 +266,32 @@ def test_every_trusted_site_names_its_rule():
             "combinat.py:_dual_iso", "finite_dual.py:bialgebra_dual",
             "reflexivity.py:rat_module_to_comodule"} <= set(sites)
     assert untagged == []
+
+
+def test_scalar_sums_go_through_the_kernel():
+    # outside linalg's kernel and the Field itself, a hand-written scalar sum
+    # (F.add, QQ.add, <expr>.field.add, or .sub) is left only in the radical's
+    # trace and in the suite's independent reference oracles
+    allowed = {"algebra.py:_radical_quotient", "suite.py:_dense_reduce",
+               "suite.py:_closure_oracle_coalgebra", "suite.py:_closure_oracle_comodule",
+               "suite.py:c08_linearly_recursive", "suite.py:c11_counit_recovered"}
+    sites = set()
+    for path in sorted(Path(dualis.__file__).parent.glob("*.py")):
+        if path.name in ("linalg.py", "fields.py"):
+            continue
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("add", "sub")):
+                    continue
+                owner = node.func.value
+                if getattr(owner, "id", None) in ("F", "QQ") or \
+                        (isinstance(owner, ast.Attribute) and owner.attr == "field"):
+                    sites.add(f"{path.name}:{fn.name}")
+    assert sites <= allowed, sorted(sites - allowed)
+    assert "algebra.py:_radical_quotient" in sites
 
 
 # ---------------------------------------------------------------------------
