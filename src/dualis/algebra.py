@@ -40,16 +40,18 @@ def _trusted(cls, *values):
     certified input as (i) that input's transpose, whose axioms are the
     input's read backwards (dual_algebra, dual_coalgebra, comatrix_cover,
     comodule_to_dual_module, module_to_comodule, rat_module_to_comodule,
-    bialgebra_dual, unital_dual_compat, and randgen's conjugate_coalgebra,
-    the transpose of C* transported along P^-T), or (ii) the target of a map
-    P whose morphism check runs right after: a surjective P carries every
-    axiom of its source to its image, and its kernel is a two-sided ideal
-    (quotient_algebra, whose projection is onto by construction, with
-    _radical_quotient's radical as its kernel; randgen's conjugate_algebra
-    and the transport inside conjugate_coalgebra, whose check of
-    P^T: D* -> C* is that of P: C -> D; with P = identity,
-    dual_unitalization_iso and the coalgebra C of verify_pathdual_iso and
-    verify_incidencedual_iso, whose map C -> A* is then trusted by (i)).
+    bialgebra_dual, unital_dual_compat, randgen's direct_sum_coalgebra, the
+    transpose of the validated sum of the dual algebras, and randgen's
+    conjugate_coalgebra, the transpose of C* transported along P^-T), or
+    (ii) the target of a map P whose morphism check runs right after: a
+    surjective P carries every axiom of its source to its image, and its
+    kernel is a two-sided ideal (quotient_algebra, whose projection is onto
+    by construction, with _radical_quotient's radical as its kernel;
+    randgen's conjugate_algebra and the transport inside
+    conjugate_coalgebra, whose check of P^T: D* -> C* is that of
+    P: C -> D; with P = identity, dual_unitalization_iso and the
+    coalgebra C of verify_pathdual_iso and verify_incidencedual_iso, whose
+    map C -> A* is then trusted by (i)).
     An inclusion D -> C certifies D so: its check runs on the transpose
     C* -> D*, onto as D's basis is independent (subcoalgebra_on_span, hence
     coradical and subcoalgebra_generated).
@@ -147,9 +149,6 @@ class FinAlgebra:
         F = self.field
         return dense_vec(F, self.dim, bilinear(F, self.mult, sparse_vec(F, x, self.dim),
                                                sparse_vec(F, y, self.dim)))
-
-    def basis_product(self, i: int, j: int) -> dict:
-        return dict(self.mult.get((i, j), {}))
 
 
 def matrix_algebra(F: Field, n: int) -> FinAlgebra:

@@ -9,7 +9,8 @@ check, A -> C*, which certifies C as well, and return its transpose C -> A*
 too (algebra._trusted).
 
 Infinite shapes (the integer line, a ray, stars, a loop) are templates: they
-answer local arrow queries and truncate to finite quivers, and
+answer local arrow queries, share one truncation to finite quivers (the
+vertices within a radius and the arrows between them), and
 semiperfect_check walks them directly, reporting per-vertex path counts as
 explicit bounded certificates.  A walk whose frontier recurs (the loop, any
 cycle) skips whole periods: each next frontier is determined by the current
@@ -339,7 +340,18 @@ class FiniteTemplate:
         return self.quiver
 
 
-class LineTemplate:
+class _InfiniteTemplate:
+    """What the infinite templates share: truncation keeps the vertices
+    within the radius and every arrow between two of them."""
+
+    def truncate(self, radius: int) -> Quiver:
+        vs = self.vertices_within(radius)
+        inside = set(vs)
+        return Quiver(tuple(vs), tuple((u, w) for u in vs for (_, w) in self.out_arrows(u)
+                                       if w in inside))
+
+
+class LineTemplate(_InfiniteTemplate):
     """The integer line: vertices are all integers, arrows i -> i+1."""
 
     name = "line"
@@ -353,12 +365,8 @@ class LineTemplate:
     def in_arrows(self, v) -> list:
         return [((v - 1, v), v - 1)]
 
-    def truncate(self, radius: int) -> Quiver:
-        vs = self.vertices_within(radius)
-        return Quiver(tuple(vs), tuple((i, i + 1) for i in vs[:-1]))
 
-
-class RayTemplate:
+class RayTemplate(_InfiniteTemplate):
     """Vertices 0, 1, 2, ... with arrows i -> i+1."""
 
     name = "ray"
@@ -372,15 +380,11 @@ class RayTemplate:
     def in_arrows(self, v) -> list:
         return [((v - 1, v), v - 1)] if v > 0 else []
 
-    def truncate(self, radius: int) -> Quiver:
-        vs = self.vertices_within(radius)
-        return Quiver(tuple(vs), tuple((i, i + 1) for i in vs[:-1]))
-
 
 MAX_STAR_RAYS = 1024  # the centre's walk step lists every ray, so it is O(rays)
 
 
-class StarTemplate:
+class StarTemplate(_InfiniteTemplate):
     """A center with k infinite rays pointing outward, 1 <= k <= MAX_STAR_RAYS."""
 
     name = "star"
@@ -411,17 +415,8 @@ class StarTemplate:
             return [(("c", r), "c")]
         return [(((r, n - 1), v), (r, n - 1))]
 
-    def truncate(self, radius: int) -> Quiver:
-        vs = self.vertices_within(radius)
-        arrows = []
-        for r in range(self.rays):
-            arrows.append(("c", (r, 1)))
-            for n in range(1, radius):
-                arrows.append(((r, n), (r, n + 1)))
-        return Quiver(tuple(vs), tuple(arrows))
 
-
-class LoopTemplate:
+class LoopTemplate(_InfiniteTemplate):
     """One vertex with one loop; every truncation keeps the cycle."""
 
     name = "loop"
@@ -434,9 +429,6 @@ class LoopTemplate:
 
     def in_arrows(self, v) -> list:
         return [("a", "v")]
-
-    def truncate(self, radius: int) -> Quiver:
-        return Quiver(("v",), (("v", "v"),))
 
 
 def make_template(spec: str):

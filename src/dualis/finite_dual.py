@@ -193,8 +193,46 @@ class NotWithinBound:
     level: int
 
 
-def _window_keys(G: GradedAlgebra, bound: int):
-    return [key for key in G.basis_keys() if key[0] <= bound]
+def _translate_levels(G: GradedAlgebra, f: GradedFunctional, bound: int, sides: str):
+    """The set-up shared by every translate span: the stored degree D, the
+    window of keys of degree <= bound, and the translating pairs (a, b) of
+    each level t = 0 .. D - bound, a pair's degrees summing to t (None for
+    no translation).  D >= 2 * bound keeps every needed product stored."""
+    if sides not in ("both", "left", "right"):
+        raise ValidationError(f"unknown sides {sides!r}")
+    D = min(G.max_degree, f.known_degree)
+    if D < 2 * bound:
+        raise InsufficientTruncation(
+            f"need stored degree >= {2 * bound}, have {D}")
+
+    def by_deg(d):
+        return [(d, i) for i in range(G.component_dims[d])]
+
+    levels = []
+    for t in range(D - bound + 1):
+        pairs = [(None, None)] if t == 0 else []
+        if sides != "right":
+            pairs += [(a, None) for a in by_deg(t)]
+        if sides != "left":
+            pairs += [(None, b) for b in by_deg(t)]
+        if sides == "both":
+            pairs += [(a, b) for qa in range(t + 1) for a in by_deg(qa) for b in by_deg(t - qa)]
+        levels.append(pairs)
+    return D, [key for key in G.basis_keys() if key[0] <= bound], levels
+
+
+def _translate_row(G: GradedAlgebra, f: GradedFunctional, a_key, b_key, keys) -> tuple:
+    """(a -> f <- b)(c) = f(b c a) for each c in keys."""
+    one = G.field.one
+    out = []
+    for c in keys:
+        x = {c: one}
+        if b_key is not None:
+            x = G.mul_flat({b_key: one}, x)
+        if a_key is not None:
+            x = G.mul_flat(x, {a_key: one})
+        out.append(f(x))
+    return tuple(out)
 
 
 def translate_span(G: GradedAlgebra, f: GradedFunctional, bound: int,
@@ -205,52 +243,14 @@ def translate_span(G: GradedAlgebra, f: GradedFunctional, bound: int,
     total degree of the translating pair; the budget is chosen so every
     needed product stays inside the stored degrees.
     """
-    if sides not in ("both", "left", "right"):
-        raise ValidationError(f"unknown sides {sides!r}")
-    F = G.field
-    D = min(G.max_degree, f.known_degree)
-    if D < 2 * bound:
-        raise InsufficientTruncation(
-            f"need stored degree >= {2 * bound}, have {D}")
-    window = _window_keys(G, bound)
-    t_max = D - bound
-    rs = RowSpace(F, len(window))
-
-    def row_of(a_key, b_key):
-        # (a -> f <- b)(c) = f(b c a)
-        out = []
-        for c in window:
-            x = {c: F.one}
-            if b_key is not None:
-                x = G.mul_flat({b_key: F.one}, x)
-            if a_key is not None:
-                x = G.mul_flat(x, {a_key: F.one})
-            out.append(f(x))
-        return tuple(out)
-
-    def level_pairs(t):
-        if t == 0:
-            yield (None, None)
-        by_deg = lambda d: [(d, i) for i in range(G.component_dims[d])] \
-            if d < len(G.component_dims) else []
-        if sides in ("left", "both"):
-            for a in by_deg(t):
-                yield (a, None)
-        if sides in ("right", "both"):
-            for b in by_deg(t):
-                yield (None, b)
-        if sides == "both":
-            for qa in range(t + 1):
-                for a in by_deg(qa):
-                    for b in by_deg(t - qa):
-                        yield (a, b)
-
+    _, window, levels = _translate_levels(G, f, bound, sides)
+    rs = RowSpace(G.field, len(window))
     level_dims = []
-    for t in range(t_max + 1):
+    for pairs in levels:
         if cancel is not None:
             cancel.check()
-        for a_key, b_key in level_pairs(t):
-            rs.add(row_of(a_key, b_key))
+        for a_key, b_key in pairs:
+            rs.add(_translate_row(G, f, a_key, b_key, window))
         level_dims.append(rs.dim)
     return rs, tuple(level_dims), window
 
@@ -279,64 +279,36 @@ def delta_of_functional(G: GradedAlgebra, f: GradedFunctional, bound: int,
     verified on every in-range basis pair before returning.
     """
     F = G.field
-    D = min(G.max_degree, f.known_degree)
-    if D < 2 * bound:
-        raise InsufficientTruncation(
-            f"need stored degree >= {2 * bound}, have {D}")
-    window = _window_keys(G, bound)
-    t_max = D - bound
-
+    D, window, levels = _translate_levels(G, f, bound, "right")
     # right translates f <- b, remembering which b produced each basis row
     rs = RowSpace(F, len(window))
-    reps: list[dict | None] = []  # translating keys, None for f itself
-
-    def right_row(b_key):
-        out = []
-        for c in window:
-            x = {c: F.one} if b_key is None else G.mul_flat({b_key: F.one}, {c: F.one})
-            out.append(f(x))
-        return tuple(out)
-
-    pending = [(None, right_row(None))]
-    for t in range(t_max + 1):
+    added = []
+    for pairs in levels:
         if cancel is not None:
             cancel.check()
-        for i in range(G.component_dims[t] if t < len(G.component_dims) else 0):
-            pending.append(((t, i), right_row((t, i))))
-    added = []
-    for b_key, row in pending:
-        if rs.add(row):
-            added.append(b_key)
+        added += [b_key for _, b_key in pairs if rs.add(_translate_row(G, f, None, b_key, window))]
     d = rs.dim
     if d > bound:
         return NotWithinBound(d, 0)
     # h_i = f <- b_i known through degree D - deg(b_i)
     hs = []
-    h_deg = []
     for b_key in added:
-        q = 0 if b_key is None else b_key[0]
-        vals = {}
-        for c in G.basis_keys():
-            if c[0] > D - q:
-                continue
-            x = {c: F.one} if b_key is None else G.mul_flat({b_key: F.one}, {c: F.one})
-            v = f(x)
-            if not F.is_zero(v):
-                vals[c] = v
-        hs.append(GradedFunctional(F, vals, D - q))
-        h_deg.append(D - q)
+        known = D - (0 if b_key is None else b_key[0])
+        keys = [c for c in G.basis_keys() if c[0] <= known]
+        hs.append(GradedFunctional(F, dict(zip(keys, _translate_row(G, f, None, b_key, keys))),
+                                   known))
+    h_deg = [h.known_degree for h in hs]
     # on the window (degrees <= bound <= D - deg b_i) h_i is the row that rs
     # accepted for b_i, so these d columns are independent; g_i(a) is the
     # i-th coordinate of f <- a in them
     H = SparseMatrix.from_rows(F, [[h.values.get(c, F.zero) for c in window] for h in hs],
                                len(window)).transpose()
     gs_vals: list[dict] = [dict() for _ in range(d)]
-    g_known = min(t_max, min(h_deg) if h_deg else t_max)
+    g_known = min([D - bound] + h_deg)
     for a in G.basis_keys():
         if a[0] > g_known:
             continue
-        row = right_row(a)
-        coords = H.solve(row)
+        coords = H.solve(_translate_row(G, f, None, a, window))
         if coords is None:
             raise ValidationError("right translate escapes its own span")
         for i, c in enumerate(coords):

@@ -176,10 +176,6 @@ class SparseMatrix:
     def identity(cls, F: Field, n: int) -> "SparseMatrix":
         return cls(F, n, n, {(i, i): F.one for i in range(n)})
 
-    @classmethod
-    def zero(cls, F: Field, rows: int, cols: int) -> "SparseMatrix":
-        return cls(F, rows, cols, {})
-
     # -- structure ----------------------------------------------------------
 
     def transpose(self) -> "SparseMatrix":
@@ -212,9 +208,6 @@ class SparseMatrix:
         F = self.field
         return SparseMatrix(F, self.rows, self.cols,
                             {k: F.mul(c, v) for k, v in self.entries.items()})
-
-    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self + other.scale(self.field.neg(self.field.one))
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
@@ -279,9 +272,6 @@ class SparseMatrix:
             for (k, l), v in other.entries.items():
                 ent[(i * other.rows + k, j * other.cols + l)] = F.mul(u, v)
         return SparseMatrix(F, self.rows * other.rows, self.cols * other.cols, ent)
-
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
 
     def inverse(self) -> "SparseMatrix":
         if self.rows != self.cols:

@@ -18,7 +18,7 @@ from .comodule import FinComodule
 from .errors import ValidationError
 from .fields import Field
 from .finite_dual import bialgebra_dual, group_bialgebra
-from .linalg import SparseMatrix, bilinear, lincomb, tensor_legs
+from .linalg import SparseMatrix, axpy, bilinear, lincomb, tensor_legs
 
 
 def rand_scalar(F: Field, rng: Random):
@@ -26,28 +26,21 @@ def rand_scalar(F: Field, rng: Random):
 
 
 def rand_invertible(F: Field, rng: Random, n: int) -> SparseMatrix:
-    """Product of random elementary row operations, so exactly invertible."""
-    M = SparseMatrix.identity(F, n)
+    """Product of random elementary row operations, so exactly invertible;
+    each operation is applied in place to the rows of the identity."""
+    rows = [{i: F.one} for i in range(n)]
     for _ in range(2 * n + rng.randrange(3)):
         kind = rng.randrange(3)
         i = rng.randrange(n)
         j = rng.randrange(n)
-        ent = dict(SparseMatrix.identity(F, n).entries)
         if kind == 0 and i != j:  # swap
-            del ent[(i, i)], ent[(j, j)]
-            ent[(i, j)] = F.one
-            ent[(j, i)] = F.one
+            rows[i], rows[j] = rows[j], rows[i]
         elif kind == 1:  # scale by a unit
             c = F.from_int(rng.choice([1, -1, 2, 3]))
-            if F.is_zero(c):
-                c = F.one
-            ent[(i, i)] = c
+            rows[i] = axpy(F, {}, F.one if F.is_zero(c) else c, rows[i])
         elif i != j:  # shear
-            c = rand_scalar(F, rng)
-            if not F.is_zero(c):
-                ent[(i, j)] = c
-        M = SparseMatrix(F, n, n, ent) @ M
-    return M
+            axpy(F, rows[i], rand_scalar(F, rng), rows[j])
+    return SparseMatrix(F, n, n, {(i, k): v for i, row in enumerate(rows) for k, v in row.items()})
 
 
 def conjugate_coalgebra(C: FinCoalgebra, P: SparseMatrix
@@ -106,21 +99,15 @@ def grouplike_coalgebra(F: Field, n: int) -> FinCoalgebra:
 
 
 def direct_sum_coalgebra(C1: FinCoalgebra, C2: FinCoalgebra) -> FinCoalgebra:
-    F = C1.field
-    if F.name() != C2.field.name():
-        raise ValidationError("mixed fields in a direct sum")
-    d1 = C1.dim
-    comult = {k: dict(t) for k, t in C1.comult.items()}
-    for k, t in C2.comult.items():
-        comult[k + d1] = {(i + d1, j + d1): v for (i, j), v in t.items()}
-    counit = None
-    if C1.counit is not None and C2.counit is not None:
-        counit = tuple(C1.counit) + tuple(C2.counit)
-    return FinCoalgebra(F, d1 + C2.dim, comult, counit)
+    """Trusted (i): the transpose of the direct sum of the dual algebras,
+    which FinAlgebra validates."""
+    return dual_coalgebra(direct_sum_algebra(dual_algebra(C1), dual_algebra(C2)))
 
 
 def direct_sum_algebra(A1: FinAlgebra, A2: FinAlgebra) -> FinAlgebra:
     F = A1.field
+    if F != A2.field:
+        raise ValidationError("mixed fields in a direct sum")
     d1 = A1.dim
     mult = {pair: dict(t) for pair, t in A1.mult.items()}
     for (i, j), t in A2.mult.items():

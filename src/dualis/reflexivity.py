@@ -113,10 +113,6 @@ class RatDualAlgebra:
     decomposition: InjectiveDecomposition
     ideals: tuple
 
-    @property
-    def ideal_dims(self) -> tuple:
-        return tuple(len(i) for i in self.ideals)
-
 
 def rat_dual(C: FinCoalgebra,
              decomposition: InjectiveDecomposition | None = None) -> RatDualAlgebra:
@@ -167,11 +163,12 @@ class CoreflexivityReport:
 
 
 def left_coreflexive_check(C: FinCoalgebra) -> CoreflexivityReport:
-    """Injectivity and surjectivity of the evaluation map."""
+    """Injectivity and surjectivity of the evaluation map, from one
+    elimination: rank = source dim - kernel rank."""
     m = phi_l(C)
     kernel_rank = len(m.matrix.kernel_basis())
     return CoreflexivityReport(
-        bijective=m.is_bijective(),
+        bijective=kernel_rank == 0 and m.source.dim == m.target.dim,
         kernel_rank=kernel_rank,
         source_dim=m.source.dim,
         target_dim=m.target.dim,

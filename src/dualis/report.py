@@ -45,10 +45,6 @@ def parse_scalar(F: Field, s: str):
     return (f.numerator * pow(f.denominator, -1, p)) % p
 
 
-def vector_json(F: Field, vec) -> list:
-    return [scalar_str(F, v) for v in vec]
-
-
 def matrix_json(M: SparseMatrix) -> dict:
     entries = sorted(((i, j, scalar_str(M.field, v))
                       for (i, j), v in M.entries.items()))

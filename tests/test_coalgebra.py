@@ -60,9 +60,9 @@ def test_dual_of_pointed_is_dual_numbers():
     C = pointed2(QQ)
     B = dual_algebra(C)
     assert B.unit == (Fraction(1), Fraction(0))
-    assert B.basis_product(1, 1) == {}
-    assert B.basis_product(0, 1) == {1: Fraction(1)}
-    assert B.basis_product(1, 0) == {1: Fraction(1)}
+    assert B.mult.get((1, 1), {}) == {}
+    assert B.mult.get((0, 1), {}) == {1: Fraction(1)}
+    assert B.mult.get((1, 0), {}) == {1: Fraction(1)}
 
 
 def test_counitalize_adds_grouplike():
@@ -153,8 +153,8 @@ def test_comatrix2_structure():
     assert M.counit == (F.one, F.zero, F.zero, F.one)
     # its dual is the 2x2 matrix algebra: e_01 * e_10 = e_00 in the dual
     B = dual_algebra(M)
-    assert B.basis_product(1, 2) == {0: F.one}
-    assert B.basis_product(2, 1) == {3: F.one}
+    assert B.mult.get((1, 2), {}) == {0: F.one}
+    assert B.mult.get((2, 1), {}) == {3: F.one}
 
 
 def test_comatrix_cover_pointed():

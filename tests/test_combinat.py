@@ -120,9 +120,9 @@ def test_incidence_chain3():
     A, ivs = incidence_algebra(F, chain_poset(3))
     assert ivs == [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
     # e_00 * e_01 = e_01, e_01 * e_12 = e_02
-    assert A.basis_product(0, 1) == {1: F.one}
-    assert A.basis_product(1, 4) == {2: F.one}
-    assert A.basis_product(4, 1) == {}
+    assert A.mult.get((0, 1), {}) == {1: F.one}
+    assert A.mult.get((1, 4), {}) == {2: F.one}
+    assert A.mult.get((4, 1), {}) == {}
     C, _ = incidence_coalgebra(F, chain_poset(2))
     assert C.comult[1] == {(0, 1): F.one, (1, 2): F.one}
     assert C.counit == (F.one, F.zero, F.one)
@@ -193,6 +193,21 @@ def test_templates_truncate():
     assert len(q.arrows) == 4
     assert q.is_acyclic()
     assert not LoopTemplate().truncate(5).is_acyclic()
+    # radius 0 keeps one vertex and no arrow, except the loop's own
+    for tmpl, vertex in ((line, 0), (ray, 0), (StarTemplate(3), "c")):
+        assert tmpl.truncate(0) == Quiver((vertex,), ())
+    assert LoopTemplate().truncate(0) == Quiver(("v",), (("v", "v"),))
+    finite = FiniteTemplate(Quiver((0, 1), ((0, 1),)))
+    assert finite.truncate(0) is finite.quiver
+    # the exact arrows between the vertices within the radius
+    for r in (1, 2, 3):
+        assert set(line.truncate(r).arrows) == {(i, i + 1) for i in range(-r, r)}
+        assert set(ray.truncate(r).arrows) == {(i, i + 1) for i in range(r)}
+        q = StarTemplate(3).truncate(r)
+        assert set(q.arrows) == {("c", (k, 1)) for k in range(3)} | \
+            {((k, n), (k, n + 1)) for k in range(3) for n in range(1, r)}
+        assert len(q.arrows) == 3 * r
+        assert LoopTemplate().truncate(r).arrows == (("v", "v"),)
 
 
 def test_make_template():

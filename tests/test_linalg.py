@@ -234,7 +234,7 @@ def test_matmul_transpose_inverse():
     rng = random.Random(99)
     f = GF(13)
     A = SparseMatrix.from_rows(f, [[rng.randrange(13) for _ in range(3)] for _ in range(3)])
-    if A.is_invertible():
+    if A.rank() == A.rows:
         I = A @ A.inverse()
         assert I == SparseMatrix.identity(f, 3)
     B = SparseMatrix.from_rows(f, [[rng.randrange(13) for _ in range(4)] for _ in range(3)])

@@ -12,6 +12,8 @@ from dualis.linalg import SparseMatrix, basis_vec
 from dualis.randgen import (
     conjugate_algebra,
     conjugate_coalgebra,
+    direct_sum_algebra,
+    direct_sum_coalgebra,
     divided_power_coalgebra,
     hopf_instances,
     rand_acyclic_quiver,
@@ -25,12 +27,44 @@ from dualis.randgen import (
 )
 
 
+def _rand_invertible_reference(F, rng, n):
+    """rand_invertible as a product of elementary matrices, one per drawn
+    row operation; the in-place row operations must give the same matrix."""
+    M = SparseMatrix.identity(F, n)
+    for _ in range(2 * n + rng.randrange(3)):
+        kind = rng.randrange(3)
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        ent = dict(SparseMatrix.identity(F, n).entries)
+        if kind == 0 and i != j:  # swap
+            del ent[(i, i)], ent[(j, j)]
+            ent[(i, j)] = F.one
+            ent[(j, i)] = F.one
+        elif kind == 1:  # scale by a unit
+            c = F.from_int(rng.choice([1, -1, 2, 3]))
+            if F.is_zero(c):
+                c = F.one
+            ent[(i, i)] = c
+        elif i != j:  # shear
+            c = F.from_int(rng.randint(-3, 3))
+            if not F.is_zero(c):
+                ent[(i, j)] = c
+        M = SparseMatrix(F, n, n, ent) @ M
+    return M
+
+
 def test_rand_invertible_is_invertible():
     rng = Random(7)
     for n in (1, 2, 3, 5):
         for _ in range(5):
             M = rand_invertible(QQ, rng, n)
             assert M @ M.inverse() == SparseMatrix.identity(QQ, n)
+    for F in (QQ, GF(101), GF(2)):
+        for seed in range(6):
+            for n in (1, 2, 4, 7):
+                got, want = Random(seed), Random(seed)
+                assert rand_invertible(F, got, n) == _rand_invertible_reference(F, want, n)
+                assert got.random() == want.random()  # the same draws
 
 
 def test_conjugation_preserves_structure():
@@ -124,6 +158,13 @@ def test_rand_coalgebra_counit_flag():
         for _ in range(20):
             assert rand_coalgebra(F, rng).is_counital()
             assert not rand_coalgebra(F, rng, counital=False).is_counital()
+    # the direct sum of the blocks: the second block's table shifted past the first
+    C1, C2 = comatrix(QQ, 2), divided_power_coalgebra(QQ, 2)
+    S = direct_sum_coalgebra(C1, C2)
+    assert S.comult == {**C1.comult, **{k + 4: {(i + 4, j + 4): v for (i, j), v in t.items()}
+                                        for k, t in C2.comult.items()}}
+    assert S.counit == C1.counit + C2.counit
+    assert direct_sum_coalgebra(C1, divided_power_coalgebra(QQ, 2, counital=False)).counit is None
 
 
 def test_rand_algebra_unit_flag():
@@ -131,6 +172,11 @@ def test_rand_algebra_unit_flag():
     for _ in range(20):
         assert rand_algebra(QQ, rng).unit is not None
         assert rand_algebra(QQ, rng, unital=False).unit is None
+    # a direct sum over two fields is refused, for algebras and coalgebras alike
+    with pytest.raises(ValidationError, match="mixed fields"):
+        direct_sum_algebra(truncated_poly_algebra(QQ, 2), truncated_poly_algebra(GF(101), 2))
+    with pytest.raises(ValidationError, match="mixed fields"):
+        direct_sum_coalgebra(divided_power_coalgebra(QQ, 2), divided_power_coalgebra(GF(101), 2))
 
 
 def test_rand_morphism_triples_validate():

@@ -15,7 +15,6 @@ from dualis.report import (
     matrix_json,
     parse_scalar,
     scalar_str,
-    vector_json,
 )
 
 
@@ -46,8 +45,6 @@ def test_scalar_rejects_floats_and_zero_residue_denominator():
 
 
 def test_vector_and_matrix_json():
-    assert vector_json(QQ, [Fraction(1, 2), Fraction(0), Fraction(-3)]) == \
-        ["1/2", "0", "-3"]
     M = SparseMatrix.from_rows(QQ, [[Fraction(1), Fraction(0)],
                                     [Fraction(0), Fraction(-1, 2)]])
     assert matrix_json(M) == {
