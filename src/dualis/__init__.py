@@ -50,6 +50,7 @@ from .combinat import (
 from .comodule import (
     FinComodule,
     FinModule,
+    ModuleMorphism,
     comodule_to_dual_module,
     lattice_agreement_check,
     module_to_comodule,
@@ -94,6 +95,7 @@ __all__ = [
     "FinCoalgebra",
     "FinComodule",
     "FinModule",
+    "ModuleMorphism",
     "FiniteTemplate",
     "GF",
     "GradedAlgebra",

@@ -36,31 +36,27 @@ def _trusted(cls, *values):
 
     The one rule for what gets validated: every FinAlgebra, FinCoalgebra,
     FinModule, FinComodule, FinBialgebra, SubspaceIdeal and morphism is
-    certified once.  Its constructor validated it, or it was built from a
+    certified once, by its constructor or because it was built from a
     certified input as (i) that input's transpose, whose axioms are the
-    input's read backwards (dual_algebra, dual_coalgebra, comatrix_cover,
+    input's read backwards (dual_algebra, dual_coalgebra,
     comodule_to_dual_module, module_to_comodule, rat_module_to_comodule,
-    bialgebra_dual, unital_dual_compat, randgen's direct_sum_coalgebra, the
-    transpose of the validated sum of the dual algebras, and randgen's
-    conjugate_coalgebra, the transpose of C* transported along P^-T), or
-    (ii) the target of a map P whose morphism check runs right after: a
-    surjective P carries every axiom of its source to its image, and its
-    kernel is a two-sided ideal (quotient_algebra, whose projection is onto
-    by construction, with _radical_quotient's radical as its kernel;
-    randgen's conjugate_algebra and the transport inside
-    conjugate_coalgebra, whose check of P^T: D* -> C* is that of
-    P: C -> D; with P = identity, dual_unitalization_iso and the
-    coalgebra C of verify_pathdual_iso and verify_incidencedual_iso, whose
-    map C -> A* is then trusted by (i)).
-    An inclusion D -> C certifies D so: its check runs on the transpose
-    C* -> D*, onto as D's basis is independent (subcoalgebra_on_span, hence
-    coradical and subcoalgebra_generated).
-    decompose_injectives re-checks nothing, by (i): its hit operators are the
-    idempotents of C* acting through the transpose of C's coaction, so C's
-    axioms make them multiply and sum as the idempotents do, onto coideals;
-    complete_primitive_idempotents and verify_family certify the family.
-    Each call site's docstring says "Trusted (i)" or "Trusted (ii)".
-    Constructors that take outside input (comatrix, matrix_algebra,
+    bialgebra_dual, unital_dual_compat, comatrix_cover, conjugate_coalgebra,
+    phi_l onto C's double transpose, and rand_comodule's base, copies of
+    C's comultiplication), or (ii) an end of a map P whose morphism check
+    runs right after.  An onto P carries its source's axioms to its target,
+    and its kernel is a two-sided ideal (quotient_algebra,
+    _radical_quotient, randgen's _conjugate, rand_comodule's P: base -> M,
+    and with P = identity dual_unitalization_iso and combinat's _dual_iso);
+    a one to one P carries its target's axioms back to its source (the
+    inclusions of subcomodule_on_span, checked as a ModuleMorphism, and of
+    subcoalgebra_on_span, checked through its onto transpose C* -> D*).
+    decompose_injectives re-checks nothing, by (i): its hit operators are
+    the idempotents of C* acting through the transpose of C's coaction, so
+    C's axioms make them multiply and sum as the idempotents do, onto
+    coideals; complete_primitive_idempotents or verify_family certifies the
+    family.  Each site's docstring says "Trusted (i)" or "Trusted (ii)",
+    and a tier-1 test fails unless every function calling _trusted is named
+    above.  Constructors that take outside input (comatrix, matrix_algebra,
     unitalize, counitalize, path_coalgebra, incidence_coalgebra,
     SubspaceIdeal, spec parsing) always validate, and no structure is built
     that nothing reads.
@@ -164,8 +160,21 @@ def matrix_algebra(F: Field, n: int) -> FinAlgebra:
     return FinAlgebra(F, n * n, mult, tuple(unit))
 
 
+class _Map:
+    """What a morphism of any kind does with its matrix."""
+
+    def __call__(self, x: tuple) -> tuple:
+        return self.matrix.apply(x)
+
+    def is_injective(self) -> bool:
+        return self.matrix.rank() == self.source.dim
+
+    def is_bijective(self) -> bool:
+        return self.source.dim == self.target.dim and self.is_injective()
+
+
 @dataclass(frozen=True)
-class AlgebraMorphism:
+class AlgebraMorphism(_Map):
     """Linear map between algebras, multiplicative on basis pairs."""
 
     source: FinAlgebra
@@ -205,15 +214,6 @@ class AlgebraMorphism:
                 raise ValidationError("unital morphism requires units on both sides")
             if self.matrix.apply(self.source.unit) != self.target.unit:
                 raise ValidationError("morphism does not map unit to unit")
-
-    def __call__(self, x: tuple) -> tuple:
-        return self.matrix.apply(x)
-
-    def is_injective(self) -> bool:
-        return self.matrix.rank() == self.source.dim
-
-    def is_bijective(self) -> bool:
-        return self.source.dim == self.target.dim and self.is_injective()
 
 
 def compose(g: AlgebraMorphism, f: AlgebraMorphism) -> AlgebraMorphism:

@@ -6,7 +6,8 @@ is optional; adjoining one is the job of counitalize.
 Every axiom is checked through the dual: coassociativity and the counit
 axiom are associativity and the unit axiom of the transposed table, and f
 is a coalgebra morphism exactly when its transpose is an algebra morphism,
-so each axiom is stated once, in algebra.py.
+so each axiom, and each range, length, field and shape check, is stated
+once, in algebra.py, and its errors name the algebra-side table.
 """
 
 from __future__ import annotations
@@ -16,14 +17,15 @@ from dataclasses import dataclass
 from .algebra import (
     AlgebraMorphism,
     FinAlgebra,
+    _Map,
     _trusted,
     radical,
     regular_matrix_embedding,
     unitalize,
 )
-from .errors import DimensionMismatch, ValidationError
+from .errors import ValidationError
 from .fields import Field
-from .linalg import (RowSpace, SparseMatrix, basis_vec, dense_vec, dot, lincomb, prune, regroup,
+from .linalg import (RowSpace, SparseMatrix, basis_vec, dense_vec, dot, lincomb, regroup,
                      sparse_vec, tensor_legs)
 
 
@@ -38,7 +40,8 @@ def transpose_mult(mult: dict) -> dict:
 
 @dataclass(frozen=True)
 class FinCoalgebra:
-    """Coassociative coalgebra on basis c_0..c_{dim-1}, optionally counital."""
+    """Coassociative coalgebra on basis c_0..c_{dim-1}, optionally counital;
+    stores the pruned table and counit its validated transpose reads back."""
 
     field: Field
     dim: int
@@ -46,20 +49,9 @@ class FinCoalgebra:
     counit: tuple | None = None
 
     def __post_init__(self):
-        F = self.field
-        for k, terms in self.comult.items():
-            if not 0 <= k < self.dim:
-                raise DimensionMismatch(f"comult key {k} out of range")
-            for (i, j) in terms:
-                if not (0 <= i < self.dim and 0 <= j < self.dim):
-                    raise DimensionMismatch(f"comult target ({i},{j}) out of range")
-        object.__setattr__(self, "comult", prune(F, self.comult))
-        if self.counit is not None:
-            eps = tuple(self.counit)
-            if len(eps) != self.dim:
-                raise DimensionMismatch("counit has wrong length")
-            object.__setattr__(self, "counit", eps)
-        FinAlgebra(F, self.dim, transpose_comult(self.comult), self.counit)
+        A = FinAlgebra(self.field, self.dim, transpose_comult(self.comult), self.counit)
+        object.__setattr__(self, "comult", transpose_mult(A.mult))
+        object.__setattr__(self, "counit", A.unit)
 
     # -- coproducts -----------------------------------------------------------
 
@@ -78,8 +70,9 @@ class FinCoalgebra:
 
 
 @dataclass(frozen=True)
-class CoalgebraMorphism:
-    """Linear map f with delta(f(c)) = (f (x) f)(delta(c)) on every basis c."""
+class CoalgebraMorphism(_Map):
+    """Linear map f with delta(f(c)) = (f (x) f)(delta(c)) on every basis c,
+    validated as its transpose, an algebra map between the duals."""
 
     source: FinCoalgebra
     target: FinCoalgebra
@@ -87,21 +80,8 @@ class CoalgebraMorphism:
     counital: bool = False
 
     def __post_init__(self):
-        if self.matrix.rows != self.target.dim or self.matrix.cols != self.source.dim:
-            raise DimensionMismatch("morphism matrix shape mismatch")
-        if self.source.field != self.target.field:
-            raise ValidationError("morphism between different base fields")
         AlgebraMorphism(dual_algebra(self.target), dual_algebra(self.source),
                         self.matrix.transpose(), unital=self.counital)
-
-    def __call__(self, x: tuple) -> tuple:
-        return self.matrix.apply(x)
-
-    def is_injective(self) -> bool:
-        return self.matrix.rank() == self.source.dim
-
-    def is_bijective(self) -> bool:
-        return self.source.dim == self.target.dim and self.is_injective()
 
 
 def compose_coalgebra(g: CoalgebraMorphism, f: CoalgebraMorphism) -> CoalgebraMorphism:

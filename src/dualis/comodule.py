@@ -4,12 +4,13 @@ coaction[t][(s,k)] is the coefficient of m_s (x) c_k in rho(m_t), and
 action[(i,t)][s] the coefficient of m_s in a_i . m_t.  Over a
 finite-dimensional coalgebra the two pictures are transposes of each other,
 and the subspace lattices agree; lattice_agreement_check makes that an
-executable statement.  FinComodule checks its axioms through the dual:
-coassociativity and the counit law are module associativity and the unit
-law of the transposed action over the dual algebra; module associativity
-is algebra.check_associative run on the action.  Sub-objects are spans
-closed under linear maps (the coaction columns, the action of each basis
-element), so RowSpace.close builds them and RowSpace.closed_under tests them.
+executable statement.  FinComodule checks nothing itself: FinModule
+checks its transpose over the dual algebra, every range, module
+associativity (algebra.check_associative on the action) and the unit law;
+a comodule map is checked as a ModuleMorphism of the dual modules.
+Sub-objects are spans closed under linear maps (the coaction columns, the
+action of each basis element), so RowSpace.close builds them and
+RowSpace.closed_under tests them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .algebra import FinAlgebra, _trusted, check_associative, multiples
+from .algebra import FinAlgebra, _Map, _trusted, check_associative, multiples
 from .coalgebra import FinCoalgebra, counitalize, dual_algebra, dual_coalgebra
 from .errors import DimensionMismatch, ValidationError
 from .fields import Field
@@ -28,23 +29,16 @@ from .linalg import (RowSpace, SparseMatrix, basis_vec, bilinear, dense_vec, lin
 
 @dataclass(frozen=True)
 class FinComodule:
-    """Right coaction rho: M -> M (x) C on basis m_0..m_{dim-1}."""
+    """Right coaction rho: M -> M (x) C on basis m_0..m_{dim-1}, validated
+    as its transpose, a module over the dual algebra."""
 
     coalgebra: FinCoalgebra
     dim: int
     coaction: dict
 
     def __post_init__(self):
-        C = self.coalgebra
-        F = C.field
-        for t, terms in self.coaction.items():
-            if not 0 <= t < self.dim:
-                raise DimensionMismatch(f"coaction key {t} out of range")
-            for (s, k) in terms:
-                if not (0 <= s < self.dim and 0 <= k < C.dim):
-                    raise DimensionMismatch(f"coaction target ({s},{k}) out of range")
-        object.__setattr__(self, "coaction", prune(F, self.coaction))
-        FinModule(dual_algebra(C), self.dim, transpose_coaction(self.coaction))
+        N = FinModule(dual_algebra(self.coalgebra), self.dim, transpose_coaction(self.coaction))
+        object.__setattr__(self, "coaction", transpose_action(N.action))
 
     def coaction_of(self, x: tuple) -> dict:
         """rho(x) as a sparse {(s,k): scalar} tensor."""
@@ -84,6 +78,30 @@ class FinModule:
                                                sparse_vec(F, x, self.dim)))
 
 
+@dataclass(frozen=True)
+class ModuleMorphism(_Map):
+    """Linear map f between modules over one algebra with
+    f(b_i . m_t) = b_i . f(m_t) on every basis pair."""
+
+    source: FinModule
+    target: FinModule
+    matrix: SparseMatrix
+
+    def __post_init__(self):
+        if self.matrix.rows != self.target.dim or self.matrix.cols != self.source.dim:
+            raise DimensionMismatch("module map matrix shape mismatch")
+        A = self.source.algebra
+        if A != self.target.algebra:
+            raise ValidationError("module map between modules over different algebras")
+        F = A.field
+        images = self.matrix.columns()
+        for i in range(A.dim):
+            for t, image in enumerate(images):
+                lhs = lincomb(F, self.source.action.get((i, t), {}), images)
+                if lhs != bilinear(F, self.target.action, {i: F.one}, image):
+                    raise ValidationError(f"module map does not commute with b_{i} at m_{t}")
+
+
 # ---------------------------------------------------------------------------
 # correspondences
 
@@ -108,11 +126,15 @@ def comodule_to_dual_module(M: FinComodule) -> FinModule:
     return _trusted(FinModule, dual_algebra(M.coalgebra), M.dim, transpose_coaction(M.coaction))
 
 
+def transpose_action(action: dict) -> dict:
+    """action[(k,t)][s] = c  becomes  coaction[t][(s,k)] = c."""
+    return regroup(action, lambda kt, s: (kt[1], (s, kt[0])))
+
+
 def module_to_comodule(N: FinModule) -> FinComodule:
     """Inverse transpose: a module over a finite-dimensional algebra is a
     comodule over the dual coalgebra.  Trusted (i): the transpose of N."""
-    coaction = regroup(N.action, lambda it, s: (it[1], (s, it[0])))
-    return _trusted(FinComodule, dual_coalgebra(N.algebra), N.dim, coaction)
+    return _trusted(FinComodule, dual_coalgebra(N.algebra), N.dim, transpose_action(N.action))
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +158,8 @@ def is_submodule(N: FinModule, vectors) -> bool:
 
 
 def subcomodule_on_span(M: FinComodule, vectors) -> tuple[FinComodule, SparseMatrix]:
-    """Induced comodule on a closed span, with its inclusion matrix."""
+    """Induced comodule on a closed span, with its inclusion matrix.
+    Trusted (ii): the inclusion, one to one, is checked as a ModuleMorphism."""
     C = M.coalgebra
     F = C.field
     rs = RowSpace(F, M.dim, vectors)
@@ -148,13 +171,13 @@ def subcomodule_on_span(M: FinComodule, vectors) -> tuple[FinComodule, SparseMat
             coords = rs.coords(col)
             if coords is None:
                 raise ValidationError("span is not a subcomodule")
-            for b, cb in enumerate(coords):
-                if not F.is_zero(cb):
-                    table[(b, k)] = cb
+            table.update(((b, k), cb) for b, cb in sparse_vec(F, coords).items())
         if table:
             coaction[a] = table
-    sub = FinComodule(C, len(basis), coaction)
-    return sub, SparseMatrix.from_rows(F, basis, M.dim).transpose()
+    sub = _trusted(FinComodule, C, len(basis), coaction)
+    incl = SparseMatrix.from_rows(F, basis, M.dim).transpose()
+    ModuleMorphism(comodule_to_dual_module(sub), comodule_to_dual_module(M), incl)
+    return sub, incl
 
 
 def subcomodule_generated(M: FinComodule, x: tuple) -> tuple[FinComodule, SparseMatrix]:

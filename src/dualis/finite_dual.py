@@ -475,7 +475,9 @@ def group_bialgebra(F: Field, table, inverses) -> FinBialgebra:
     mult = {(i, j): {table[i][j]: F.one} for i in range(n) for j in range(n)}
     unit = [F.zero] * n
     # identity = the element fixing everything
-    e = next(i for i in range(n) if all(table[i][j] == j for j in range(n)))
+    e = next((i for i in range(n) if all(table[i][j] == j for j in range(n))), None)
+    if e is None:
+        raise ValidationError("Cayley table has no identity element")
     unit[e] = F.one
     A = FinAlgebra(F, n, mult, tuple(unit))
     comult = {i: {(i, i): F.one} for i in range(n)}

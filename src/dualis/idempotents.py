@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import FinAlgebra, _radical_quotient
+from .algebra import FinAlgebra, _complement_projection, _radical_quotient
 from .errors import DecompositionFailed, UnsupportedCorner, ValidationError
 from .fields import Field
-from .linalg import RowSpace, SparseMatrix, axpy, basis_vec, bilinear, dense_vec, sparse_vec
+from .linalg import RowSpace, SparseMatrix, axpy, bilinear, dense_vec, sparse_vec
 
 
 def _to_sympy_poly(F: Field, coeffs, t):
@@ -213,14 +213,14 @@ def complete_primitive_idempotents(B: FinAlgebra) -> tuple[list, list]:
     F = B.field
     if B.unit is None:
         raise ValidationError("need a unital algebra")
-    _, Q, proj = _radical_quotient(B)
+    rad, Q, _ = _radical_quotient(B)
     bars, certs = split_semisimple_unit(Q)
-    # pull back along any linear section of the projection, then lift
-    sect = _section_of(proj.matrix)
+    # Q lives on the echelon complement free of rad: lift e_a to b_free[a]
+    free, _ = _complement_projection(B, rad.basis)
     lifted: list[dict] = []
     comp = sparse_vec(F, B.unit)  # 1 minus the lifted family so far
     for ebar in bars:
-        rep = sparse_vec(F, sect.apply(ebar))
+        rep = {free[a]: v for a, v in sparse_vec(F, ebar).items()}
         if lifted:
             rep = bilinear(F, B.mult, bilinear(F, B.mult, comp, rep), comp)
         e = sparse_vec(F, newton_lift(B, rep))
@@ -232,18 +232,6 @@ def complete_primitive_idempotents(B: FinAlgebra) -> tuple[list, list]:
     if comp:
         raise DecompositionFailed("lifted family does not sum to 1")
     return [dense_vec(F, B.dim, e) for e in lifted], certs
-
-
-def _section_of(P: SparseMatrix) -> SparseMatrix:
-    """A right inverse of a surjective matrix (free coordinates zero)."""
-    F = P.field
-    cols = []
-    for j in range(P.rows):
-        sol = P.solve(basis_vec(F, P.rows, j))
-        if sol is None:
-            raise ValidationError("matrix is not surjective")
-        cols.append(sol)
-    return SparseMatrix.from_rows(F, cols, P.cols).transpose()
 
 
 def verify_family(B: FinAlgebra, family) -> list:

@@ -12,9 +12,10 @@ from __future__ import annotations
 from random import Random
 
 from .algebra import AlgebraMorphism, FinAlgebra, _trusted, matrix_algebra
-from .coalgebra import CoalgebraMorphism, FinCoalgebra, comatrix, dual_algebra, dual_coalgebra
+from .coalgebra import (CoalgebraMorphism, FinCoalgebra, comatrix, counitalize, dual_algebra,
+                        dual_coalgebra)
 from .combinat import Poset, Quiver, path_coalgebra, paths_by_length, transitive_closure
-from .comodule import FinComodule
+from .comodule import FinComodule, ModuleMorphism, comodule_to_dual_module
 from .errors import ValidationError
 from .fields import Field
 from .finite_dual import bialgebra_dual, group_bialgebra
@@ -196,7 +197,9 @@ def rand_algebra(F: Field, rng: Random, max_dim: int = 5,
 
 
 def rand_comodule(rng: Random, C: FinCoalgebra, copies: int = 1) -> FinComodule:
-    """Conjugated direct sum of copies of the regular comodule."""
+    """Conjugated direct sum of copies of the regular comodule.  Trusted (i):
+    the base, copies of C's comultiplication.  Trusted (ii): M, by the
+    ModuleMorphism check of P: base -> M."""
     F = C.field
     dim = C.dim * copies
     coaction = {}
@@ -204,14 +207,16 @@ def rand_comodule(rng: Random, C: FinCoalgebra, copies: int = 1) -> FinComodule:
         for t, table in C.comult.items():
             coaction[t + c * C.dim] = {(s + c * C.dim, k): v
                                        for (s, k), v in table.items()}
+    base = _trusted(FinComodule, C, dim, coaction)
     P = rand_invertible(F, rng, dim)
     cols = P.columns()
-    new = {}
-    for t, v in enumerate(P.inverse().columns()):
-        # rho(P^-1 m_t), with P applied to its left leg; FinComodule drops empty rows
-        legs = tensor_legs(lincomb(F, v, coaction), 1)
-        new[t] = {(s, k): x for k, leg in legs.items() for s, x in lincomb(F, leg, cols).items()}
-    return FinComodule(C, dim, new)
+    # rho(P^-1 m_t), with P applied to its left leg
+    new = {t: row for t, v in enumerate(P.inverse().columns())
+           if (row := {(s, k): x for k, leg in tensor_legs(lincomb(F, v, coaction), 1).items()
+                       for s, x in lincomb(F, leg, cols).items()})}
+    M = _trusted(FinComodule, C, dim, new)
+    ModuleMorphism(comodule_to_dual_module(base), comodule_to_dual_module(M), P)
+    return M
 
 
 def rand_morphism_triple(F: Field, rng: Random, max_dim: int = 4):
@@ -220,28 +225,19 @@ def rand_morphism_triple(F: Field, rng: Random, max_dim: int = 4):
     This is the shape the counitalization adjunction lifts: f factors
     uniquely through the counitalization of C by a counital morphism.
     """
-    from .coalgebra import counitalize
-
     D = rand_coalgebra(F, rng, max_dim=max_dim, counital=True)
     style = rng.randrange(4)
     if style == 0:
         C = rand_coalgebra(F, rng, max_dim=max_dim, counital=False)
-        f = CoalgebraMorphism(D, C, SparseMatrix(F, C.dim, D.dim, {}),
-                              counital=False)
-        return D, C, f
+        return D, C, CoalgebraMorphism(D, C, SparseMatrix(F, C.dim, D.dim, {}))
     if style == 1:
-        C = FinCoalgebra(F, D.dim, {k: dict(t) for k, t in D.comult.items()},
-                         None)
-        f = CoalgebraMorphism(D, C, SparseMatrix.identity(F, D.dim),
-                              counital=False)
-        return D, C, f
+        C = FinCoalgebra(F, D.dim, D.comult)
+        return D, C, CoalgebraMorphism(D, C, SparseMatrix.identity(F, D.dim))
     if style == 2:
         P = rand_invertible(F, rng, D.dim)
-        E, iso = conjugate_coalgebra(D, P)
-        C = FinCoalgebra(F, E.dim, {k: dict(t) for k, t in E.comult.items()},
-                         None)
-        f = CoalgebraMorphism(D, C, P, counital=False)
-        return D, C, f
+        E, _ = conjugate_coalgebra(D, P)
+        C = FinCoalgebra(F, E.dim, E.comult)
+        return D, C, CoalgebraMorphism(D, C, P)
     # canonical projection out of a counitalization
     C = rand_coalgebra(F, rng, max_dim=max_dim, counital=False)
     D1, proj = counitalize(C)

@@ -20,10 +20,10 @@ schema in CHECKS lists: each is converted to its type when the document is
 parsed, and an absent or null one takes its default.  Unknown check names
 raise UnknownCheck; missing, dangling or wrong-kind refs
 UnresolvedReference; malformed JSON SpecParseError with line and column, as
-do a dim above MAX_SPEC_DIM, a poset with more than MAX_SPEC_DIM elements,
-relation pairs or intervals, a bad template name or ray count, a non-object
-"params", a param key outside the check's schema and a param value of the
-wrong type.
+do a dim that is not a nonnegative integer or is above MAX_SPEC_DIM, a poset
+with more than MAX_SPEC_DIM elements, relation pairs or intervals, a bad
+template name or ray count, a non-list "refs", a non-object "params", a
+param key outside the check's schema and a param value of the wrong type.
 """
 
 from __future__ import annotations
@@ -109,8 +109,8 @@ def _field_of(block: dict):
 
 
 def _dim(block: dict) -> int:
-    dim = int(block["dim"])
-    if not 0 <= dim <= MAX_SPEC_DIM:
+    dim = _count(block["dim"])
+    if dim > MAX_SPEC_DIM:
         raise SpecParseError(f"dim {dim} is outside 0..{MAX_SPEC_DIM}")
     return dim
 
@@ -260,7 +260,10 @@ def parse_spec(text: str) -> SpecDocument:
         if name not in CHECKS:
             raise UnknownCheck(f"unknown check {name!r}")
         kind = CHECKS[name][0]
-        refs = tuple(str(r) for r in item.get("refs", []))
+        raw_refs = item.get("refs", [])
+        if not isinstance(raw_refs, list):
+            raise SpecParseError(f"refs of check {name!r} must be a list")
+        refs = tuple(str(r) for r in raw_refs)
         if len(refs) != 1:
             raise UnresolvedReference(
                 f"check {name!r} takes one {kind} ref, got {len(refs)}")

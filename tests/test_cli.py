@@ -102,6 +102,20 @@ def test_input_errors_exit_two(tmp_path, capsys):
             "objects": {"t": {"type": "quiver-template", "name": "ray"}},
             "checks": [{"check": "semiperfect", "refs": ["t"],
                         "params": {"radius": "x"}}]},
+        "refs that are not a list": {
+            "objects": {"t": {"type": "quiver-template", "name": "ray"}},
+            "checks": [{"check": "semiperfect", "refs": 5}]},
+        "refs given as a string": {
+            "objects": {"t": {"type": "quiver-template", "name": "ray"}},
+            "checks": [{"check": "semiperfect", "refs": "t"}]},
+        "a Cayley table without an identity": {
+            "objects": {"h": {"type": "bialgebra", "cayley": [[1]], "inverses": [0]}}},
+        "an empty Cayley table": {
+            "objects": {"h": {"type": "bialgebra", "cayley": [], "inverses": []}}},
+        "a fractional dim": {
+            "objects": {"a": {"type": "algebra", "field": "q", "dim": 1.5, "mult": []}}},
+        "a boolean dim": {
+            "objects": {"a": {"type": "algebra", "field": "q", "dim": True, "mult": []}}},
         "a misspelt param": {
             "objects": {"t": {"type": "quiver-template", "name": "loop"}},
             "checks": [{"check": "semiperfect", "refs": ["t"],

@@ -40,8 +40,13 @@ from dualis.coalgebra import (
     transpose_comult,
     transpose_mult,
 )
-from dualis.comodule import FinComodule, FinModule
-from dualis.errors import DimensionMismatch, DualisError
+from dualis.comodule import (
+    FinComodule,
+    FinModule,
+    ModuleMorphism,
+    subcomodule_generated,
+)
+from dualis.errors import DimensionMismatch, DualisError, ValidationError
 from dualis.fields import GF, QQ
 from dualis.finite_dual import FinBialgebra, GradedAlgebra, bialgebra_dual, group_bialgebra
 from dualis.linalg import SparseMatrix, basis_vec
@@ -160,6 +165,8 @@ CASES = {
         lambda bad: FinComodule(_coalgebra(), 3, {} if bad else _regular_coaction(False)),
     "FinModule-associativity": lambda bad: FinModule(_algebra(), 3, _regular_action(bad)),
     "FinModule-unit": lambda bad: FinModule(_algebra(), 3, {} if bad else _regular_action(False)),
+    "ModuleMorphism-matrix": lambda bad: ModuleMorphism(
+        FinModule(_algebra(), 3, _mult(False)), FinModule(_algebra(), 3, _mult(False)), _diag(bad)),
     "GradedAlgebra-associativity": lambda bad: _graded(bad_assoc=bad),
     "GradedAlgebra-unit": lambda bad: _graded(bad_unit=bad),
     "FinBialgebra-coproduct": _bialgebra_coproduct,
@@ -176,6 +183,81 @@ def test_every_public_entry_point_rejects_a_corrupted_table(name):
     build(False)
     with pytest.raises(DualisError):
         build(True)
+
+
+_GROUPLIKE = {0: {(0, 0): ONE}, 1: {(1, 1): ONE}}
+SHAPE_ERRORS = {
+    "comult-key": (lambda: FinCoalgebra(QQ, 2, {2: {(0, 0): ONE}}), "mult target 2 out of range"),
+    "comult-target": (lambda: FinCoalgebra(QQ, 2, {0: {(0, 2): ONE}}),
+                      r"mult key \(0,2\) out of range"),
+    "counit-length": (lambda: FinCoalgebra(QQ, 2, _GROUPLIKE, (ONE, ONE, ONE)),
+                      "unit has wrong length"),
+    "coaction-key": (lambda: FinComodule(FinCoalgebra(QQ, 2, _GROUPLIKE), 1, {1: {(0, 0): ONE}}),
+                     r"action key \(0,1\) out of range"),
+    "coaction-target": (lambda: FinComodule(FinCoalgebra(QQ, 2, _GROUPLIKE), 1,
+                                            {0: {(0, 2): ONE}}),
+                        r"action key \(2,0\) out of range"),
+    "coaction-target-leg": (lambda: FinComodule(FinCoalgebra(QQ, 2, _GROUPLIKE), 1,
+                                                {0: {(1, 0): ONE}}),
+                            "action target 1 out of range"),
+    "morphism-shape": (lambda: CoalgebraMorphism(FinCoalgebra(QQ, 2, _GROUPLIKE),
+                                                 FinCoalgebra(QQ, 2, _GROUPLIKE),
+                                                 SparseMatrix(QQ, 3, 2, {})),
+                       "morphism matrix shape mismatch"),
+    "morphism-fields": (lambda: CoalgebraMorphism(FinCoalgebra(QQ, 2, _GROUPLIKE),
+                                                  FinCoalgebra(GF(101), 2, _GROUPLIKE),
+                                                  SparseMatrix.identity(QQ, 2)),
+                        "different base fields"),
+    "module-map-shape": (lambda: ModuleMorphism(FinModule(_algebra(), 3, _mult(False)),
+                                                FinModule(_algebra(), 3, _mult(False)),
+                                                SparseMatrix(QQ, 3, 2, {})),
+                         "module map matrix shape mismatch"),
+    "module-map-algebras": (lambda: ModuleMorphism(
+        FinModule(_algebra(), 3, _mult(False)),
+        FinModule(FinAlgebra(QQ, 3, _mult(False)), 3, _mult(False)),
+        SparseMatrix.identity(QQ, 3)), "different algebras"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_ERRORS))
+def test_coalgebra_side_shape_errors_raise_through_the_transpose(name):
+    # the coalgebra-side classes check nothing themselves, so each message
+    # names the algebra-side table the check ran on
+    build, message = SHAPE_ERRORS[name]
+    with pytest.raises(DualisError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("site, call", [("rand_comodule", 0), ("rand_comodule", 1),
+                                        ("subcomodule_on_span", 0)])
+def test_a_changed_entry_of_a_trusted_comodule_is_rejected(site, call, monkeypatch):
+    # the site's call-th trusted comodule gets one entry negated; only the
+    # module map check can see it
+    C = rand_coalgebra(QQ, Random("tamper"), max_dim=4)
+    M = rand_comodule(Random(1), C, copies=2)
+    if site == "rand_comodule":
+        module, build = dualis.randgen, lambda: rand_comodule(Random(1), C, copies=2)
+    else:
+        module, build = dualis.comodule, lambda: subcomodule_generated(M, basis_vec(QQ, M.dim, 0))
+    build()
+    honest = module._trusted
+    calls = []
+
+    def tampered(cls, *values):
+        if cls is FinComodule:
+            calls.append(cls)
+            if len(calls) == call + 1:
+                coalgebra, dim, coaction = values
+                coaction = {t: dict(row) for t, row in coaction.items()}
+                t = min(coaction)
+                key = min(coaction[t])
+                coaction[t][key] = QQ.neg(coaction[t][key])
+                values = (coalgebra, dim, coaction)
+        return honest(cls, *values)
+
+    monkeypatch.setattr(module, "_trusted", tampered)
+    with pytest.raises(ValidationError, match="module map does not commute"):
+        build()
 
 
 @pytest.mark.parametrize("F", [QQ, GF(101)], ids=["q", "fp101"])
@@ -210,6 +292,11 @@ def test_derived_structures_equal_the_validated_construction(F, monkeypatch):
                 subcoalgebra_generated(C, basis_vec(F, C.dim, rng.randrange(C.dim)))]
         for D, _ in subs + ([coradical(C)] if C.counit else []):
             assert D == FinCoalgebra(F, D.dim, D.comult, D.counit)
+        # rand_comodule and subcomodule_on_span are certified by a module map
+        M = rand_comodule(rng, C, copies=1 + n % 2)
+        S, _ = subcomodule_generated(M, basis_vec(F, M.dim, rng.randrange(M.dim)))
+        for N in (M, S):
+            assert N == FinComodule(C, N.dim, N.coaction)
         A = rand_algebra(F, rng, max_dim=4, unital=bool(n % 2))
         A1, _ = unitalize(A)
         m = A.dim + 1
@@ -250,8 +337,10 @@ def test_coordinate_tuples_of_the_wrong_length_raise(entry, x):
 
 def test_every_trusted_site_names_its_rule():
     # a function that builds through _trusted skips its constructor's checks,
-    # so its docstring must say which certificate stands in for them
-    sites, untagged = [], []
+    # so its docstring must say which certificate stands in for them, and
+    # _trusted's docstring, the one list of such sites, must name it
+    listed = dualis.algebra._trusted.__doc__
+    sites, untagged, unlisted = [], [], []
     for path in sorted(Path(dualis.__file__).parent.glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(fn, ast.FunctionDef):
@@ -261,11 +350,12 @@ def test_every_trusted_site_names_its_rule():
                 sites.append(f"{path.name}:{fn.name}")
                 if not re.search(r"Trusted \((i|ii)\)", ast.get_docstring(fn) or ""):
                     untagged.append(sites[-1])
-    assert {"algebra.py:_radical_quotient", "algebra.py:quotient_algebra",
-            "coalgebra.py:dual_algebra", "coalgebra.py:subcoalgebra_on_span",
-            "combinat.py:_dual_iso", "finite_dual.py:bialgebra_dual",
-            "reflexivity.py:rat_module_to_comodule"} <= set(sites)
+                if not re.search(rf"(?<!\w){re.escape(fn.name)}(?!\w)", listed):
+                    unlisted.append(sites[-1])
+    assert {"comodule.py:subcomodule_on_span", "randgen.py:rand_comodule",
+            "reflexivity.py:phi_l"} <= set(sites)
     assert untagged == []
+    assert unlisted == []
 
 
 def test_scalar_sums_go_through_the_kernel():
