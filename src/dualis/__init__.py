@@ -83,7 +83,7 @@ from .reflexivity import (
 )
 from .report import Report
 from .specdoc import parse_spec
-from .suite import builtin_suite, run_document, run_spec_file
+from .suite import builtin_suite, run_document
 
 __all__ = [
     "AlgebraMorphism",
@@ -142,7 +142,6 @@ __all__ = [
     "rat_dual",
     "rat_dual_template",
     "run_document",
-    "run_spec_file",
     "semiperfect_check",
     "semiperfect_iff_injective_harness",
     "seq_functional",

@@ -11,8 +11,10 @@ Verbs:
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 input error (bad file,
 bad reference, malformed block, unusable flag value, a flag the verb does
-not read).  --trials, --max-dim, --radius and --bound take nonnegative
-integers only; a star template takes 1..1024 rays (combinat.MAX_STAR_RAYS).
+not read; a file that is not UTF-8, nests past the recursion limit or holds
+an integer of over 4,300 digits is bad).  --trials, --max-dim, --radius and
+--bound take nonnegative integers only; a star template takes 1..1024 rays
+(combinat.MAX_STAR_RAYS).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 import sys
 
 from . import __version__
-from .algebra import unitalize
+from .algebra import FinAlgebra, unitalize
 from .coalgebra import counitalize, dual_algebra, dual_coalgebra
 from .combinat import make_template, semiperfect_check
 from .errors import DualisError, SpecParseError, UnknownCheck, UnresolvedReference
@@ -79,12 +81,9 @@ def _parser() -> argparse.ArgumentParser:
     suite.add_argument("--max-dim", type=_nonnegative, default=4,
                        help="randomized suite: instance dimension cap")
 
-    for verb, what in (("dualize", "algebra or coalgebra"),
-                       ("unitalize", "algebra"),
-                       ("counitalize", "coalgebra"),
-                       ("coreflexive", "coalgebra")):
+    for verb, kinds in _OBJECT_KINDS.items():
         q = sub.add_parser(verb, parents=[common],
-                           help=f"apply to a named {what} from a spec file")
+                           help=f"apply to a named {' or '.join(kinds)} from a spec file")
         q.add_argument("spec", help="path to a JSON spec document")
         q.add_argument("--object", required=True, dest="object_name",
                        help="name of the object block")
@@ -100,22 +99,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load_doc(path: str):
+    """The one reader of spec files."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read {path}: {e}") from e
     return parse_spec(text)
-
-
-def _named(doc, name: str, kinds: tuple):
-    if name not in doc.objects:
-        raise InputError(f"no object named {name!r} in the document")
-    kind, obj = doc.objects[name]
-    if kind not in kinds:
-        raise InputError(
-            f"object {name!r} is a {kind}, expected one of {kinds}")
-    return kind, obj
 
 
 def _emit_report(report, args) -> int:
@@ -131,14 +121,6 @@ def _emit_report(report, args) -> int:
     else:
         print(report.to_text())
     return 0 if report.passed else 1
-
-
-def _emit_block(block: dict, args) -> int:
-    if args.json:
-        print(json.dumps(block, sort_keys=True, separators=(",", ":")))
-    else:
-        print(json.dumps(block, indent=2))
-    return 0
 
 
 def _cmd_run(args) -> int:
@@ -162,31 +144,34 @@ def _cmd_suite(args) -> int:
     return _emit_report(report, args)
 
 
-def _cmd_dualize(args) -> int:
-    doc = _load_doc(args.spec)
-    kind, obj = _named(doc, args.object_name, ("algebra", "coalgebra"))
-    if kind == "algebra":
-        return _emit_block(coalgebra_block(dual_coalgebra(obj)), args)
-    return _emit_block(algebra_block(dual_algebra(obj)), args)
+def _dualize(X) -> dict:
+    if isinstance(X, FinAlgebra):
+        return coalgebra_block(dual_coalgebra(X))
+    return algebra_block(dual_algebra(X))
 
 
-def _cmd_unitalize(args) -> int:
-    doc = _load_doc(args.spec)
-    _, A = _named(doc, args.object_name, ("algebra",))
-    A1, _ = unitalize(A)
-    return _emit_block(algebra_block(A1), args)
+# verb -> (kinds of its --object, fn(object) -> spec block)
+_TRANSFORMS = {
+    "dualize": (("algebra", "coalgebra"), _dualize),
+    "unitalize": (("algebra",), lambda A: algebra_block(unitalize(A)[0])),
+    "counitalize": (("coalgebra",), lambda C: coalgebra_block(counitalize(C)[0])),
+}
+_OBJECT_KINDS = {**{verb: kinds for verb, (kinds, _) in _TRANSFORMS.items()},
+                 "coreflexive": ("coalgebra",)}
 
 
-def _cmd_counitalize(args) -> int:
-    doc = _load_doc(args.spec)
-    _, C = _named(doc, args.object_name, ("coalgebra",))
-    C1, _ = counitalize(C)
-    return _emit_block(coalgebra_block(C1), args)
+def _cmd_transform(args) -> int:
+    kinds, fn = _TRANSFORMS[args.verb]
+    block = fn(_load_doc(args.spec).resolve(args.object_name, kinds))
+    if args.json:
+        print(json.dumps(block, sort_keys=True, separators=(",", ":")))
+    else:
+        print(json.dumps(block, indent=2))
+    return 0
 
 
 def _cmd_coreflexive(args) -> int:
-    doc = _load_doc(args.spec)
-    _, C = _named(doc, args.object_name, ("coalgebra",))
+    C = _load_doc(args.spec).resolve(args.object_name, _OBJECT_KINDS["coreflexive"])
     rep = left_coreflexive_check(C)
     out = {"bijective": rep.bijective, "kernel_rank": rep.kernel_rank,
            "source_dim": rep.source_dim, "target_dim": rep.target_dim}
@@ -228,9 +213,7 @@ def _cmd_semiperfect(args) -> int:
 _COMMANDS = {
     "run": _cmd_run,
     "suite": _cmd_suite,
-    "dualize": _cmd_dualize,
-    "unitalize": _cmd_unitalize,
-    "counitalize": _cmd_counitalize,
+    **dict.fromkeys(_TRANSFORMS, _cmd_transform),
     "coreflexive": _cmd_coreflexive,
     "semiperfect": _cmd_semiperfect,
 }

@@ -210,13 +210,12 @@ def comatrix_cover(C: FinCoalgebra) -> CoalgebraMorphism:
 # ---------------------------------------------------------------------------
 # subcoalgebras
 
-def delta_legs(C: FinCoalgebra, outers=(0, 1)):
-    """v -> the legs of the tensor delta(v): right factors for outer 0, left
-    factors for outer 1.  A span holding the outer-0 legs of its vectors is
-    a right coideal, delta(W) <= C (x) W; holding both, a subcoalgebra."""
+def delta_legs(C: FinCoalgebra):
+    """v -> the legs of the tensor delta(v): its right factors, then its left
+    factors.  A span holding both legs of its vectors is a subcoalgebra."""
     def images(v: dict):
         tensor = C.comult_of(v)
-        for outer in outers:
+        for outer in (0, 1):
             yield from tensor_legs(tensor, outer).values()
     return images
 

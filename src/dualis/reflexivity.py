@@ -222,8 +222,7 @@ def hopf_selfdual_check(H) -> dict:
     }
 
 
-def rat_dual_template(template, radius: int, ambient_radius: int,
-                      bound: int | None = None) -> dict:
+def rat_dual_template(template, radius: int, ambient_radius: int) -> dict:
     """Vertex blocks of a truncated path coalgebra with completeness flags.
 
     The path coalgebra is truncated at ambient_radius while blocks are
@@ -231,7 +230,7 @@ def rat_dual_template(template, radius: int, ambient_radius: int,
     anchored in the window then survives intact, which needs ambient >=
     2*radius.  The right (left) block of v is spanned by the paths ending
     (starting) at v, so blocks are read off path anchors and the coalgebra is
-    never built.  bound defaults to the path count plus one.  A block is
+    never built.  Walks are counted up to the path count plus one.  A block is
     certified complete when the template walk count is finite and equals the
     truncated block dimension.
     """
@@ -240,8 +239,7 @@ def rat_dual_template(template, radius: int, ambient_radius: int,
             f"ambient radius {ambient_radius} < 2*radius = {2 * radius}")
     Q = template.truncate(ambient_radius)
     flat = [p for lev in paths_by_length(Q, ambient_radius)[0] for p in lev]
-    if bound is None:
-        bound = len(flat) + 1
+    bound = len(flat) + 1
     anchors = {
         "right": [path_target(Q, p) for p in flat],
         "left": [p[0] for p in flat],

@@ -17,13 +17,18 @@ written.  Object blocks carry a "type" tag:
 Checks reference objects by name: {"check": ..., "refs": [name], "params": {}}.
 Every check takes one ref, of the kind CHECKS names, and the params its
 schema in CHECKS lists: each is converted to its type when the document is
-parsed, and an absent or null one takes its default.  Unknown check names
-raise UnknownCheck; missing, dangling or wrong-kind refs
-UnresolvedReference; malformed JSON SpecParseError with line and column, as
-do a dim that is not a nonnegative integer or is above MAX_SPEC_DIM, a poset
-with more than MAX_SPEC_DIM elements, relation pairs or intervals, a bad
-template name or ray count, a non-list "refs", a non-object "params", a
-param key outside the check's schema and a param value of the wrong type.
+parsed, and an absent or null one takes its default.  The one object
+lookup is SpecDocument.resolve(name, kinds) and the _ref it wraps: check
+refs, --object, a comodule's coalgebra and a finite template's quiver all
+go through it.
+Unknown check names raise UnknownCheck; missing, dangling or wrong-kind
+refs UnresolvedReference; malformed JSON SpecParseError, with line and column
+unless it nests too deep or holds too long an integer, as do a malformed
+block (a table index of Infinity too), a dim that is not a nonnegative
+integer or is above MAX_SPEC_DIM, a poset with more than MAX_SPEC_DIM
+elements, relation pairs or intervals, a bad template name or ray count, a
+non-list "refs", a non-object "params", a param key outside the check's
+schema and a param value of the wrong type.
 """
 
 from __future__ import annotations
@@ -95,10 +100,9 @@ class SpecDocument:
     objects: dict  # name -> (kind, object)
     checks: tuple
 
-    def resolve(self, name: str):
-        if name not in self.objects:
-            raise UnresolvedReference(f"no object named {name!r}")
-        return self.objects[name][1]
+    def resolve(self, name: str, kinds: tuple | None = None):
+        """The object called name; with kinds, its block must be one of them."""
+        return _ref(self.objects, name, kinds)
 
 
 MAX_SPEC_DIM = 1024  # checked before any table is built; validation grows with dim
@@ -115,57 +119,59 @@ def _dim(block: dict) -> int:
     return dim
 
 
-def _ref(doc_objects: dict, name, kind: str):
-    """The object called name, which must be a block of the given kind."""
+def _a_kind(kind: str) -> str:
+    return f"an {kind}" if kind[0] in "aeiou" else f"a {kind}"
+
+
+def _ref(doc_objects: dict, name, kinds: tuple | None = None):
+    """The object called name, whose block must be of one of kinds if given."""
     name = str(name)
     if name not in doc_objects:
         raise UnresolvedReference(f"no object named {name!r}")
     got, obj = doc_objects[name]
-    if got != kind:
-        raise UnresolvedReference(f"object {name!r} is a {got}, not a {kind}")
+    if kinds is not None and got not in kinds:
+        raise UnresolvedReference(f"object {name!r} is {_a_kind(got)}, not "
+                                  f"{' or '.join(_a_kind(k) for k in kinds)}")
     return obj
+
+
+def _read_table(F, rows, split: int) -> dict:
+    """{outer: {inner: scalar}} from rows [a, b, c, "scalar"], keyed
+    {(a, b): {c: ..}} when split is 2 and {a: {(b, c): ..}} when it is 1.
+    _write_table is the inverse."""
+    table: dict = {}
+    for a, b, c, s in rows:
+        a, b, c = int(a), int(b), int(c)
+        outer, inner = ((a, b), c) if split == 2 else (a, (b, c))
+        table.setdefault(outer, {})[inner] = parse_scalar(F, s)
+    return table
+
+
+def _read_scalars(F, values):
+    """A scalar list ["1", "-1/3", ...]; null stays None."""
+    return None if values is None else tuple(parse_scalar(F, c) for c in values)
 
 
 def _build_algebra(block, doc_objects):
     F = _field_of(block)
-    dim = _dim(block)
-    mult: dict = {}
-    for row in block.get("mult", []):
-        i, j, k, c = row
-        mult.setdefault((int(i), int(j)), {})[int(k)] = parse_scalar(F, c)
-    unit = block.get("unit")
-    if unit is not None:
-        unit = tuple(parse_scalar(F, c) for c in unit)
-    return FinAlgebra(F, dim, mult, unit)
+    return FinAlgebra(F, _dim(block), _read_table(F, block.get("mult", []), 2),
+                      _read_scalars(F, block.get("unit")))
 
 
 def _build_coalgebra(block, doc_objects):
     F = _field_of(block)
-    dim = _dim(block)
-    comult: dict = {}
-    for row in block.get("comult", []):
-        k, i, j, c = row
-        comult.setdefault(int(k), {})[(int(i), int(j))] = parse_scalar(F, c)
-    counit = block.get("counit")
-    if counit is not None:
-        counit = tuple(parse_scalar(F, c) for c in counit)
-    return FinCoalgebra(F, dim, comult, counit)
+    return FinCoalgebra(F, _dim(block), _read_table(F, block.get("comult", []), 1),
+                        _read_scalars(F, block.get("counit")))
 
 
 def _build_comodule(block, doc_objects):
-    C = _ref(doc_objects, block["coalgebra"], "coalgebra")
-    F = C.field
-    dim = _dim(block)
-    coaction: dict = {}
-    for row in block.get("coaction", []):
-        t, s, k, c = row
-        coaction.setdefault(int(t), {})[(int(s), int(k))] = parse_scalar(F, c)
-    return FinComodule(C, dim, coaction)
+    C = _ref(doc_objects, block["coalgebra"], ("coalgebra",))
+    return FinComodule(C, _dim(block), _read_table(C.field, block.get("coaction", []), 1))
 
 
 def _build_functional(block, doc_objects):
     F = _field_of(block)
-    seq = tuple(parse_scalar(F, c) for c in block["sequence"])
+    seq = _read_scalars(F, block["sequence"])
     if not seq:
         raise SpecParseError("functional needs a nonempty sequence")
     return SequenceFunctional(F, seq)
@@ -180,7 +186,7 @@ def _build_quiver(block, doc_objects):
 def _build_template(block, doc_objects):
     name = str(block["name"])
     if name == "finite":
-        return FiniteTemplate(_ref(doc_objects, block["quiver"], "quiver"))
+        return FiniteTemplate(_ref(doc_objects, block["quiver"], ("quiver",)))
     try:
         return make_template(name)
     except ValidationError as e:
@@ -230,6 +236,8 @@ def parse_spec(text: str) -> SpecDocument:
     except json.JSONDecodeError as e:
         raise SpecParseError(f"invalid JSON: {e.msg}", line=e.lineno,
                              col=e.colno) from e
+    except (RecursionError, ValueError) as e:  # too deep, or too long an integer
+        raise SpecParseError(f"invalid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise SpecParseError("document root must be a JSON object")
     raw_objects = raw.get("objects", {})
@@ -267,7 +275,7 @@ def parse_spec(text: str) -> SpecDocument:
         if len(refs) != 1:
             raise UnresolvedReference(
                 f"check {name!r} takes one {kind} ref, got {len(refs)}")
-        _ref(objects, refs[0], kind)
+        _ref(objects, refs[0], (kind,))
         checks.append(Check(name, refs, _parse_params(name, item.get("params", {}))))
     return SpecDocument(objects, tuple(checks))
 
@@ -296,7 +304,7 @@ def _build_object(kind, block, objects):
         return _BUILDERS[kind](block, objects)
     except (SpecParseError, UnresolvedReference):
         raise
-    except (KeyError, TypeError, IndexError, ValueError) as e:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as e:
         raise SpecParseError(f"malformed {kind} block: {e!r}") from e
 
 
@@ -462,27 +470,25 @@ def run_check(doc: SpecDocument, check: Check, rng: Random):
 # ---------------------------------------------------------------------------
 # serializers back to spec blocks, so CLI transformations round-trip
 
+def _write_table(F, table: dict) -> list:
+    """Rows [a, b, c, "scalar"] of a table, sorted: inverse of _read_table."""
+    def ix(key):
+        return key if isinstance(key, tuple) else (key,)
+    return [[*ix(outer), *ix(inner), scalar_str(F, c)]
+            for outer, terms in sorted(table.items()) for inner, c in sorted(terms.items())]
+
+
+def _write_scalars(F, values):
+    return None if values is None else [scalar_str(F, c) for c in values]
+
+
 def algebra_block(A: FinAlgebra) -> dict:
     F = A.field
-    mult = []
-    for (i, j), terms in sorted(A.mult.items()):
-        for k, c in sorted(terms.items()):
-            mult.append([i, j, k, scalar_str(F, c)])
-    unit = None
-    if A.unit is not None:
-        unit = [scalar_str(F, c) for c in A.unit]
     return {"type": "algebra", "field": F.name(), "dim": A.dim,
-            "mult": mult, "unit": unit}
+            "mult": _write_table(F, A.mult), "unit": _write_scalars(F, A.unit)}
 
 
 def coalgebra_block(C: FinCoalgebra) -> dict:
     F = C.field
-    comult = []
-    for k in sorted(C.comult):
-        for (i, j), c in sorted(C.comult[k].items()):
-            comult.append([k, i, j, scalar_str(F, c)])
-    counit = None
-    if C.counit is not None:
-        counit = [scalar_str(F, c) for c in C.counit]
     return {"type": "coalgebra", "field": F.name(), "dim": C.dim,
-            "comult": comult, "counit": counit}
+            "comult": _write_table(F, C.comult), "counit": _write_scalars(F, C.counit)}

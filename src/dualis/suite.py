@@ -503,66 +503,53 @@ def _randomized_items(knobs: RandomKnobs):
         from .fields import field_from_name
         fields = (field_from_name(knobs.field),)
 
-    def algebras_validate(rng):
-        for _ in range(knobs.trials):
-            F = fields[rng.randrange(len(fields))]
-            A = rand_algebra(F, rng, max_dim=knobs.max_dim,
-                             unital=bool(rng.randrange(2)))
-            A1, incl = unitalize(A)
-            if A1.dim != A.dim + 1:
-                return False, {"message": "unitalization dimension wrong"}
-        return True, {"trials": knobs.trials}
+    def each_trial(prop, message):
+        """Run prop(F, rng) -> holds once per trial, on a field drawn first."""
+        def run(rng):
+            for _ in range(knobs.trials):
+                if not prop(fields[rng.randrange(len(fields))], rng):
+                    return False, {"message": message}
+            return True, {"trials": knobs.trials}
+        return run
 
-    def double_dual_identity(rng):
-        for _ in range(knobs.trials):
-            F = fields[rng.randrange(len(fields))]
-            C = rand_coalgebra(F, rng, max_dim=knobs.max_dim,
-                               counital=bool(rng.randrange(2)))
-            D = dual_coalgebra(dual_algebra(C))
-            if D.comult != C.comult or D.counit != C.counit:
-                return False, {"message": "double dual changed the tables"}
-        return True, {"trials": knobs.trials}
+    def algebras_validate(F, rng):
+        A = rand_algebra(F, rng, max_dim=knobs.max_dim,
+                         unital=bool(rng.randrange(2)))
+        return unitalize(A)[0].dim == A.dim + 1
 
-    def closures_idempotent(rng):
-        for _ in range(knobs.trials):
-            F = fields[rng.randrange(len(fields))]
-            C = rand_coalgebra(F, rng, max_dim=knobs.max_dim)
-            x = tuple(F.from_int(rng.randint(-2, 2)) for _ in range(C.dim))
-            D, incl = subcoalgebra_generated(C, x)
-            if D.dim == 0:
-                continue
-            y = dense_vec(F, C.dim, incl.matrix.columns()[0])
-            E, _ = subcoalgebra_generated(C, y)
-            if E.dim > D.dim:
-                return False, {"message": "closure grew on re-generation"}
-        return True, {"trials": knobs.trials}
+    def double_dual_identity(F, rng):
+        C = rand_coalgebra(F, rng, max_dim=knobs.max_dim,
+                           counital=bool(rng.randrange(2)))
+        D = dual_coalgebra(dual_algebra(C))
+        return D.comult == C.comult and D.counit == C.counit
 
-    def conjugation_iso(rng):
-        for _ in range(knobs.trials):
-            F = fields[rng.randrange(len(fields))]
-            C = rand_coalgebra(F, rng, max_dim=knobs.max_dim)
-            P = rand_invertible(F, rng, C.dim)
-            D, iso = conjugate_coalgebra(C, P)
-            if not iso.is_bijective():
-                return False, {"message": "conjugation not bijective"}
-        return True, {"trials": knobs.trials}
+    def closures_idempotent(F, rng):
+        C = rand_coalgebra(F, rng, max_dim=knobs.max_dim)
+        x = tuple(F.from_int(rng.randint(-2, 2)) for _ in range(C.dim))
+        D, incl = subcoalgebra_generated(C, x)
+        if D.dim == 0:
+            return True
+        y = dense_vec(F, C.dim, incl.matrix.columns()[0])
+        return subcoalgebra_generated(C, y)[0].dim <= D.dim
 
-    def adjunction_lifts(rng):
-        for _ in range(knobs.trials):
-            F = fields[rng.randrange(len(fields))]
-            D, C, f = rand_morphism_triple(F, rng, max_dim=knobs.max_dim)
-            C1, proj = counitalize(C)
-            g, freedom = counital_lift(f, C1, proj)
-            if freedom != 0:
-                return False, {"message": "non-unique lift"}
-        return True, {"trials": knobs.trials}
+    def conjugation_iso(F, rng):
+        C = rand_coalgebra(F, rng, max_dim=knobs.max_dim)
+        P = rand_invertible(F, rng, C.dim)
+        return conjugate_coalgebra(C, P)[1].is_bijective()
+
+    def adjunction_lifts(F, rng):
+        D, C, f = rand_morphism_triple(F, rng, max_dim=knobs.max_dim)
+        C1, proj = counitalize(C)
+        return counital_lift(f, C1, proj)[1] == 0
 
     return [
-        ("algebras-validate", algebras_validate),
-        ("double-dual-identity", double_dual_identity),
-        ("closures-idempotent", closures_idempotent),
-        ("conjugation-iso", conjugation_iso),
-        ("adjunction-lifts", adjunction_lifts),
+        ("algebras-validate", each_trial(algebras_validate, "unitalization dimension wrong")),
+        ("double-dual-identity", each_trial(double_dual_identity,
+                                            "double dual changed the tables")),
+        ("closures-idempotent", each_trial(closures_idempotent,
+                                           "closure grew on re-generation")),
+        ("conjugation-iso", each_trial(conjugation_iso, "conjugation not bijective")),
+        ("adjunction-lifts", each_trial(adjunction_lifts, "non-unique lift")),
     ]
 
 
@@ -621,11 +608,3 @@ def run_document(doc, seed: int = 0) -> Report:
               {"refs": list(check.refs), "params": dict(check.params)})
              for check in doc.checks]
     return _run_items(items, seed)
-
-
-def run_spec_file(path: str, seed: int = 0) -> Report:
-    from .specdoc import parse_spec
-
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return run_document(parse_spec(text), seed)

@@ -114,6 +114,9 @@ def test_input_errors_exit_two(tmp_path, capsys):
             "objects": {"h": {"type": "bialgebra", "cayley": [], "inverses": []}}},
         "a fractional dim": {
             "objects": {"a": {"type": "algebra", "field": "q", "dim": 1.5, "mult": []}}},
+        "an infinite table index": {  # json reads Infinity, and int() overflows on it
+            "objects": {"a": {"type": "algebra", "field": "q", "dim": 1,
+                              "mult": [[float("inf"), 0, 0, "1"]]}}},
         "a boolean dim": {
             "objects": {"a": {"type": "algebra", "field": "q", "dim": True, "mult": []}}},
         "a misspelt param": {
@@ -141,6 +144,45 @@ def test_input_errors_exit_two(tmp_path, capsys):
     p.write_text(json.dumps({"objects": {"p": chain}}))
     assert main(["run", str(p)]) == 2
     assert "intervals" in capsys.readouterr().err
+
+
+# spec files the loader must reject, the first one absent
+HOSTILE_FILES = {
+    "missing-file": None,
+    "not-utf8": b'{"objects": {"\xff": {}}}',
+    "nested-too-deep": b"[" * 100_000,
+    "integer-too-long": b'{"objects": {}, "n": ' + b"7" * 5000 + b"}",
+}
+
+
+def _bad_input_cases():
+    for verb in ("run", "dualize", "unitalize", "counitalize", "coreflexive"):
+        argv = [verb, "FILE"] if verb == "run" else [verb, "FILE", "--object", "mat2"]
+        for name, data in HOSTILE_FILES.items():
+            yield pytest.param(data, argv, id=f"{verb}-{name}")
+        # a name that is absent, then one naming a quiver, which no verb reads
+        for name, ref in (("missing-object", "ghost"), ("wrong-kind", "q2")):
+            if verb == "run":
+                doc = {**SPEC, "checks": [{"check": "coreflexive", "refs": [ref]}]}
+                args = ["run", "FILE"]
+            else:
+                doc, args = SPEC, [verb, "FILE", "--object", ref]
+            yield pytest.param(json.dumps(doc).encode(), args, id=f"{verb}-{name}")
+    yield pytest.param(None, ["suite", "randomized", "--field", "fp:banana"],
+                       id="suite-bad-field")
+    yield pytest.param(None, ["semiperfect", "banana"], id="semiperfect-bad-template")
+
+
+@pytest.mark.parametrize("data, argv", list(_bad_input_cases()))
+def test_bad_input_exits_two_with_one_error_line(data, argv, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    if data is not None:
+        path.write_bytes(data)
+    assert main([str(path) if a == "FILE" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_suite_verb(capsys):
