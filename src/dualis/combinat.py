@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraMorphism, FinAlgebra, _trusted
 from .coalgebra import CoalgebraMorphism, FinCoalgebra, dual_algebra, dual_coalgebra
-from .errors import NotAcyclic, ValidationError
+from .errors import NotAcyclic, ValidationError, quoted
 from .fields import Field
 from .finite_dual import CancelToken, GradedAlgebra
 from .linalg import SparseMatrix
@@ -391,7 +391,7 @@ class StarTemplate(_InfiniteTemplate):
 
     def __init__(self, rays: int):
         if not 1 <= rays <= MAX_STAR_RAYS:
-            raise ValidationError(f"star needs 1..{MAX_STAR_RAYS} rays, got {rays}")
+            raise ValidationError(f"star needs 1..{MAX_STAR_RAYS} rays, got {quoted(rays)}")
         self.rays = rays
 
     def vertices_within(self, radius: int) -> list:
@@ -441,7 +441,7 @@ def make_template(spec: str):
         return LoopTemplate()
     if spec.startswith("star:"):
         return StarTemplate(int(spec.split(":", 1)[1]))
-    raise ValidationError(f"unknown template {spec!r}")
+    raise ValidationError(f"unknown template {quoted(spec)}")
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +465,16 @@ class SemiperfectReport:
     per_vertex: tuple | None = None
 
 
-def _count_walks(template, v, forward: bool, bound: int):
+def _count_walks(template, v, forward: bool, bound: int, known: dict | None = None):
     """Count the paths starting (forward) or ending at v, stopping once the
     count passes bound.  Returns ("finite", total) or ("exceeded", total).
+
+    known maps vertices to their finite counts.  A walk entry reaching such
+    a vertex w is not walked on: its extensions are the paths from (or to)
+    w, known[w] of them counting the entry itself.  The total then jumps
+    past totals the plain walk would reach, so a count that used known and
+    passed bound is walked again without it: the reported total is always
+    the first one above bound.
 
     The next frontier is a function of the ordered current one, so once a
     frontier recurs the growth repeats with that period.  A saved frontier
@@ -476,6 +483,8 @@ def _count_walks(template, v, forward: bool, bound: int):
     short of bound, and the walk goes on to the exact first total above it.
     """
     step = template.out_arrows if forward else template.in_arrows
+    known = known or {}
+    jumped = False
     total = 1  # the trivial path
     frontier = [v]
     saved, saved_total = frontier, total
@@ -484,9 +493,15 @@ def _count_walks(template, v, forward: bool, bound: int):
         nxt = []
         for u in frontier:
             for (_, w) in step(u):
-                nxt.append(w)
+                if w in known:
+                    total += known[w]
+                    jumped = True
+                else:
+                    nxt.append(w)
         total += len(nxt)
         if total > bound:
+            if jumped:
+                return _count_walks(template, v, forward, bound)
             return "exceeded", total
         if not nxt:
             return "finite", total
@@ -511,12 +526,12 @@ def semiperfect_check(template, side: str, radius: int, bound: int,
     if radius < 0 or bound < 0:
         raise ValidationError(f"radius and bound must be nonnegative, got {radius} and {bound}")
     forward = side == "left"
-    counts = []
+    known: dict = {}  # the certified counts so far, which later walks reuse
     for v in template.vertices_within(radius):
         if cancel is not None:
             cancel.check()
-        status, total = _count_walks(template, v, forward, bound)
+        status, total = _count_walks(template, v, forward, bound, known)
         if status == "exceeded":
             return SemiperfectReport(side, "fails", radius, bound, vertex=v, count=total)
-        counts.append((v, total))
-    return SemiperfectReport(side, "holds", radius, bound, per_vertex=tuple(counts))
+        known[v] = total
+    return SemiperfectReport(side, "holds", radius, bound, per_vertex=tuple(known.items()))

@@ -1,4 +1,13 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and how messages quote input."""
+
+QUOTE_LIMIT = 60  # characters of an offending value that a message echoes
+
+
+def quoted(value) -> str:
+    """repr(value) for an error message, cut to QUOTE_LIMIT characters and
+    marked with "...", so hostile input cannot make a message long."""
+    text = repr(value)
+    return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "..."
 
 
 class DualisError(Exception):

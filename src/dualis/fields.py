@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
 
-from .errors import ValidationError
+from .errors import ValidationError, quoted
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -54,7 +54,7 @@ class Field:
         if p == 0:
             return
         if p >= 1 << 62 or not is_prime(p):
-            raise ValidationError(f"characteristic must be 0 or a prime < 2**62, got {p}")
+            raise ValidationError(f"characteristic must be 0 or a prime < 2**62, got {quoted(p)}")
 
     # -- canonical constants ------------------------------------------------
 
@@ -131,6 +131,6 @@ def field_from_name(name: str) -> Field:
         try:
             p = int(name[3:])
         except ValueError:
-            raise ValidationError(f"bad modulus in field spec {name!r}") from None
+            raise ValidationError(f"bad modulus in field spec {quoted(name)}") from None
         return GF(p)
-    raise ValidationError(f"unknown field spec {name!r}")
+    raise ValidationError(f"unknown field spec {quoted(name)}")

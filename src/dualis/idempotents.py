@@ -6,22 +6,132 @@ factorization is needed), lift back through the radical by Newton iteration,
 and orthogonalize sequentially inside corners.  Every claimed property is
 re-checked with exact arithmetic before returning; when the search cannot
 certify primitivity it raises UnsupportedCorner rather than guess.
-sympy, the factorizer, is imported on first use, so importing dualis does
-not load it.
 
-Elements are sparse {index: scalar} dicts throughout: products go through
-bilinear on the multiplication table and sums through axpy.  The public
-functions accept coordinate tuples or dicts and return coordinate tuples.
+Factoring needs only the roots of the minimal polynomial in the field: a
+split takes off one linear factor's full power, and a polynomial of degree
+at most 3 without a root is irreducible.  Roots are found exactly, by the
+rational-root theorem over Q and by trying every point of a small F_p.
+sympy serves only as the fallback, for a polynomial of degree 4 or more
+without a root and for a root search past MAX_ROOT_COEFF or MAX_SCAN_PRIME;
+it is imported then, so a run that never needs it does not load it.
+
+Elements and polynomials are sparse dicts throughout ({index: scalar} and
+{power: scalar}): products go through bilinear on the multiplication table
+and sums through axpy.  The public functions accept coordinate tuples or
+dicts and return coordinate tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 from .algebra import FinAlgebra, _complement_projection, _radical_quotient
 from .errors import DecompositionFailed, UnsupportedCorner, ValidationError
 from .fields import Field
 from .linalg import RowSpace, SparseMatrix, axpy, bilinear, dense_vec, sparse_vec
+
+MAX_ROOT_COEFF = 10_000  # over Q: largest cleared constant or leading term searched
+MAX_SCAN_PRIME = 4_096   # over F_p: largest p whose every point is tried
+
+
+# ---------------------------------------------------------------------------
+# polynomials in one variable: {power: nonzero scalar} dicts
+
+def _shift(d: int, f: dict) -> dict:
+    """t^d * f."""
+    return {d + i: v for i, v in f.items()}
+
+
+def _poly_mul(F: Field, f: dict, g: dict) -> dict:
+    acc: dict = {}
+    for d, c in f.items():
+        axpy(F, acc, c, _shift(d, g))
+    return acc
+
+
+def _poly_divmod(F: Field, f: dict, g: dict) -> tuple[dict, dict]:
+    """Quotient and remainder of f by a nonzero g."""
+    dg = max(g)
+    lead_inv = F.inv(g[dg])
+    q: dict = {}
+    r = dict(f)
+    while r and max(r) >= dg:
+        d = max(r)
+        q[d - dg] = c = F.mul(r[d], lead_inv)
+        axpy(F, r, F.neg(c), _shift(d - dg, g))
+    return q, r
+
+
+def _inverse_mod(F: Field, g: dict, f: dict) -> dict | None:
+    """s with s * g = 1 mod f and deg s < deg f (extended Euclid), or None
+    when g and f have a common factor."""
+    r0, r1 = f, _poly_divmod(F, g, f)[1]
+    s0, s1 = {}, {0: F.one}  # s_i * g = r_i mod f throughout
+    while r1 and max(r1) > 0:
+        q, r = _poly_divmod(F, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, axpy(F, dict(s0), F.neg(F.one), _poly_mul(F, q, s1))
+    if not r1:
+        return None
+    return axpy(F, {}, F.inv(r1[0]), s1)
+
+
+def _divisors(n: int) -> list:
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def _is_root(c: dict, a: int, b: int, p: int) -> bool:
+    """Whether a/b is a root of c, a polynomial with integer coefficients
+    (read mod p when p > 0), tested as b^deg c(a/b) = 0 in integers."""
+    n = max(c)
+    v = sum(ci * a ** i * b ** (n - i) for i, ci in c.items())
+    return (v % p if p else v) == 0
+
+
+def _roots(F: Field, m: dict) -> list | None:
+    """The roots of m in F as (root, multiplicity) pairs, or None when the
+    search would pass MAX_ROOT_COEFF or MAX_SCAN_PRIME.
+
+    Besides 0, which a factor t^low of m gives, the candidates are every
+    point of F_p, or over Q the rational-root theorem's +-a/b in lowest
+    terms, a dividing the constant and b the leading term of m / t^low
+    cleared of denominators."""
+    p = F.characteristic
+    low = min(m)
+    if p:
+        if p > MAX_SCAN_PRIME:
+            return None
+        found = [r for r in range(1, p) if _is_root(m, r, 1, p)]
+    else:
+        den = lcm(*(v.denominator for v in m.values()))
+        c = {i: (v * den).numerator for i, v in m.items()}
+        const, lead = abs(c[low]), abs(c[max(c)])
+        if const > MAX_ROOT_COEFF or lead > MAX_ROOT_COEFF:
+            return None
+        found = [F.div(s * a, b) for a in _divisors(const) for b in _divisors(lead)
+                 if gcd(a, b) == 1 for s in (1, -1) if _is_root(c, s * a, b, 0)]
+    roots = [(F.zero, low)] if low else []
+    for r in found:
+        k, f = 0, m
+        while True:
+            q, rem = _poly_divmod(F, f, {0: F.neg(r), 1: F.one})
+            if rem:
+                break
+            k, f = k + 1, q
+        roots.append((r, k))
+    return roots
+
+
+def _factor_rank(F: Field, root: tuple) -> tuple:
+    """Where sympy's factor_list puts (t - r)^k among the linear factors: by
+    multiplicity, then by the coefficients high -> low of the factor, which
+    is b t - a (r = a/b in lowest terms, b > 0) over Q and monic over F_p."""
+    r, k = root
+    if F.characteristic:
+        return k, 1, F.neg(r)
+    return k, r.denominator, -r.numerator
 
 
 def _to_sympy_poly(F: Field, coeffs, t):
@@ -49,13 +159,37 @@ def _from_sympy_coeffs(F: Field, poly) -> list:
     return out
 
 
+def _first_factor(F: Field, m: dict) -> tuple[dict, int, bool]:
+    """(f, k, alone) for a monic m of degree at least 2: the irreducible f and
+    multiplicity k that sympy's factor_list lists first, and whether f^k is
+    all of m.  factor_list sorts by degree first, so when m has a root, f is
+    the linear factor _factor_rank puts first; sympy itself is asked only
+    when the root search cannot decide."""
+    roots = _roots(F, m)
+    if roots:
+        r, k = min(roots, key=lambda root: _factor_rank(F, root))
+        return {0: F.neg(r), 1: F.one}, k, k == max(m)
+    if roots is not None and max(m) <= 3:
+        return m, 1, True  # no root and degree at most 3: irreducible
+    import sympy
+
+    poly = _to_sympy_poly(F, [m.get(i, F.zero) for i in range(max(m) + 1)],
+                          sympy.Symbol("t"))
+    factors = poly.factor_list()[1]
+    f, k = factors[0]
+    return sparse_vec(F, _from_sympy_coeffs(F, f)), k, len(factors) == 1
+
+
 def _poly_eval(A: FinAlgebra, coeffs, x: dict, e: dict) -> dict:
-    """Evaluate with the convention t^0 = e (the corner's local unit)."""
+    """Evaluate coeffs (low -> high, as a list or a {power: c} dict) at x,
+    with the convention t^0 = e (the corner's local unit)."""
     F = A.field
+    coeffs = sparse_vec(F, coeffs)
     acc: dict = {}
     power = e
-    for c in coeffs:
-        axpy(F, acc, c, power)
+    for d in range(max(coeffs, default=-1) + 1):
+        if d in coeffs:
+            axpy(F, acc, coeffs[d], power)
         power = bilinear(F, A.mult, power, x)
     return acc
 
@@ -88,25 +222,24 @@ def _try_split(A: FinAlgebra, e: dict, x: dict):
     Returns (e1, e2) with e = e1 + e2 orthogonal idempotents, or None when
     the minimal polynomial is a power of one irreducible.
     """
-    import sympy
-
     F = A.field
     coeffs = min_poly_in_corner(A, x, e)
     if len(coeffs) <= 2:
         return None
-    t = sympy.Symbol("t")
-    m = _to_sympy_poly(F, coeffs, t)
-    _, factors = m.factor_list()
-    if len(factors) < 2:
+    m = sparse_vec(F, coeffs)
+    f, k, alone = _first_factor(F, m)
+    if alone:
         return None
-    f1 = factors[0][0] ** factors[0][1]
-    g = m.quo(f1)
-    s, _, h = g.gcdex(f1)
-    if h.degree() != 0:
+    f1 = {0: F.one}
+    for _ in range(k):
+        f1 = _poly_mul(F, f1, f)
+    g, _ = _poly_divmod(F, m, f1)
+    s = _inverse_mod(F, g, f1)
+    if s is None:
         return None
-    q = (s * g).quo(h)
-    q = q.rem(m)
-    e1 = _poly_eval(A, _from_sympy_coeffs(F, q), x, e)
+    # q = 1 mod f1 and 0 mod g; deg s < deg f1 puts q below deg m, so it is
+    # the one such residue and e1 does not depend on how it was found
+    e1 = _poly_eval(A, _poly_mul(F, s, g), x, e)
     e2 = axpy(F, dict(e), F.neg(F.one), e1)
     if bilinear(F, A.mult, e1, e1) != e1 or bilinear(F, A.mult, e2, e2) != e2:
         raise DecompositionFailed("splitting produced a non-idempotent")
@@ -130,8 +263,6 @@ def _corner_basis(A: FinAlgebra, e: dict) -> list:
 
 def _certify_primitive(A: FinAlgebra, e: dict) -> str | None:
     """A certificate string when e is provably primitive in semisimple A."""
-    import sympy
-
     F = A.field
     corner = _corner_basis(A, e)
     if len(corner) == 1:
@@ -145,9 +276,8 @@ def _certify_primitive(A: FinAlgebra, e: dict) -> str | None:
         for u in probes:
             coeffs = min_poly_in_corner(A, u, e)
             if len(coeffs) - 1 == len(corner):
-                t = sympy.Symbol("t")
-                _, factors = _to_sympy_poly(F, coeffs, t).factor_list()
-                if len(factors) == 1 and factors[0][1] == 1:
+                _, k, alone = _first_factor(F, sparse_vec(F, coeffs))
+                if alone and k == 1:
                     return "corner-field"
     return None
 

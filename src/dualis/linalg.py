@@ -58,14 +58,27 @@ def dense_vec(F: Field, n: int, x: dict) -> tuple:
 # pairs, triples), so vectors, tensors and matrix rows share one code path
 
 def axpy(F: Field, acc: dict, c, x: dict) -> dict:
-    """acc += c * x in place, dropping entries that become zero; returns acc."""
-    zero = F.zero
-    for k, v in x.items():
-        s = F.add(acc.get(k, zero), F.mul(c, v))
-        if F.is_zero(s):
-            acc.pop(k, None)
-        else:
-            acc[k] = s
+    """acc += c * x in place, dropping entries that become zero; returns acc.
+
+    The innermost loop of nearly every check, so it branches on the field
+    once and inlines Field's add and mul: residues are reduced once per
+    entry, and an integral rational is stored as its numerator."""
+    get = acc.get
+    p = F.characteristic
+    if p:
+        for k, v in x.items():
+            s = (get(k, 0) + c * v) % p
+            if s:
+                acc[k] = s
+            else:
+                acc.pop(k, None)
+    else:
+        for k, v in x.items():
+            s = get(k, 0) + c * v
+            if s:
+                acc[k] = s.numerator if s.denominator == 1 else s
+            else:
+                acc.pop(k, None)
     return acc
 
 

@@ -55,6 +55,7 @@ from .errors import (
     UnknownCheck,
     UnresolvedReference,
     ValidationError,
+    quoted,
 )
 from .fields import field_from_name
 from .finite_dual import (
@@ -115,7 +116,7 @@ def _field_of(block: dict):
 def _dim(block: dict) -> int:
     dim = _count(block["dim"])
     if dim > MAX_SPEC_DIM:
-        raise SpecParseError(f"dim {dim} is outside 0..{MAX_SPEC_DIM}")
+        raise SpecParseError(f"dim {quoted(dim)} is outside 0..{MAX_SPEC_DIM}")
     return dim
 
 
@@ -127,10 +128,10 @@ def _ref(doc_objects: dict, name, kinds: tuple | None = None):
     """The object called name, whose block must be of one of kinds if given."""
     name = str(name)
     if name not in doc_objects:
-        raise UnresolvedReference(f"no object named {name!r}")
+        raise UnresolvedReference(f"no object named {quoted(name)}")
     got, obj = doc_objects[name]
     if kinds is not None and got not in kinds:
-        raise UnresolvedReference(f"object {name!r} is {_a_kind(got)}, not "
+        raise UnresolvedReference(f"object {quoted(name)} is {_a_kind(got)}, not "
                                   f"{' or '.join(_a_kind(k) for k in kinds)}")
     return obj
 
@@ -190,7 +191,7 @@ def _build_template(block, doc_objects):
     try:
         return make_template(name)
     except ValidationError as e:
-        raise SpecParseError(f"quiver-template {name!r}: {e}") from e
+        raise SpecParseError(f"quiver-template {quoted(name)}: {e}") from e
 
 
 def _build_poset(block, doc_objects):
@@ -247,10 +248,10 @@ def parse_spec(text: str) -> SpecDocument:
     deferred = []
     for name, block in raw_objects.items():
         if not isinstance(block, dict) or "type" not in block:
-            raise SpecParseError(f"object {name!r} needs a type tag")
+            raise SpecParseError(f"object {quoted(name)} needs a type tag")
         kind = str(block["type"])
         if kind not in _BUILDERS:
-            raise SpecParseError(f"object {name!r} has unknown type {kind!r}")
+            raise SpecParseError(f"object {quoted(name)} has unknown type {quoted(kind)}")
         if kind in _REFERENCING:
             deferred.append((name, kind, block))
         else:
@@ -266,7 +267,7 @@ def parse_spec(text: str) -> SpecDocument:
             raise SpecParseError(f"check #{n} needs a check name")
         name = str(item["check"])
         if name not in CHECKS:
-            raise UnknownCheck(f"unknown check {name!r}")
+            raise UnknownCheck(f"unknown check {quoted(name)}")
         kind = CHECKS[name][0]
         raw_refs = item.get("refs", [])
         if not isinstance(raw_refs, list):
@@ -287,7 +288,7 @@ def _parse_params(check: str, raw) -> dict:
     schema = CHECKS[check][2]
     unknown = sorted(set(raw) - set(schema))
     if unknown:
-        raise SpecParseError(f"check {check!r} has no param {unknown[0]!r}; "
+        raise SpecParseError(f"check {check!r} has no param {quoted(unknown[0])}; "
                              f"its params are {', '.join(schema) or 'none'}")
     params = {}
     for name, (convert, default) in schema.items():
@@ -305,7 +306,7 @@ def _build_object(kind, block, objects):
     except (SpecParseError, UnresolvedReference):
         raise
     except (KeyError, TypeError, IndexError, ValueError, OverflowError) as e:
-        raise SpecParseError(f"malformed {kind} block: {e!r}") from e
+        raise SpecParseError(f"malformed {kind} block: {quoted(e)}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -416,23 +417,23 @@ def _check_membership(objs, params, rng):
 def _count(v) -> int:
     """A nonnegative integer, written as a JSON integer or a decimal string."""
     if isinstance(v, bool) or not isinstance(v, (int, str)):
-        raise ValueError(f"expected an integer, got {v!r}")
+        raise ValueError(f"expected an integer, got {quoted(v)}")
     n = int(v)
     if n < 0:
-        raise ValueError(f"expected a nonnegative integer, got {n}")
+        raise ValueError(f"expected a nonnegative integer, got {quoted(n)}")
     return n
 
 
 def _field_name(v) -> str:
     if not isinstance(v, str):
-        raise ValueError(f"expected a field name, got {v!r}")
+        raise ValueError(f"expected a field name, got {quoted(v)}")
     return field_from_name(v).name()
 
 
 def _one_of(*options):
     def convert(v) -> str:
         if v not in options:
-            raise ValueError(f"expected one of {', '.join(options)}, got {v!r}")
+            raise ValueError(f"expected one of {', '.join(options)}, got {quoted(v)}")
         return v
     return convert
 

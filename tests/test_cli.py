@@ -185,6 +185,37 @@ def test_bad_input_exits_two_with_one_error_line(data, argv, tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+def _values_echoed_in_errors():
+    """Documents holding a hostile value, a list 900 deep or a 1 MB string,
+    in each place whose error message quotes it."""
+    for tag, value in (("deep", json.loads("[" * 900 + "]" * 900)), ("long", "x" * 2**20)):
+        yield f"check-name-{tag}", {"checks": [{"check": value, "refs": ["q2"]}]}
+        yield f"type-{tag}", {"objects": {"o": {"type": value}}}
+        yield f"ref-{tag}", {"objects": SPEC["objects"],
+                             "checks": [{"check": "coreflexive", "refs": [value]}]}
+        yield f"template-{tag}", {"objects": {"t": {"type": "quiver-template", "name": value}}}
+        yield f"field-{tag}", {"objects": {"a": {**SPEC["objects"]["nilp"], "field": value}}}
+        yield f"param-{tag}", {"objects": {"t": {"type": "quiver-template", "name": "ray"}},
+                               "checks": [{"check": "semiperfect", "refs": ["t"],
+                                           "params": {"side": value}}]}
+    long = "x" * 2**20
+    yield "object-name-long", {"objects": {long: {}}}
+    yield "param-key-long", {"objects": SPEC["objects"],
+                             "checks": [{"check": "coreflexive", "refs": ["mat2"],
+                                         "params": {long: 1}}]}
+
+
+@pytest.mark.parametrize("name, doc", list(_values_echoed_in_errors()))
+def test_hostile_values_are_echoed_short(name, doc, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "..." in err and len(err) < 300, err[:400]
+    assert "recursion" not in err
+
+
 def test_suite_verb(capsys):
     assert main(["suite", "randomized", "--trials", "5", "--seed", "3"]) == 0
     assert "adjunction-lifts" in capsys.readouterr().out

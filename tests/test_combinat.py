@@ -31,6 +31,7 @@ from dualis.combinat import (
 )
 from dualis.errors import NotAcyclic, ValidationError
 from dualis.fields import GF, QQ
+from dualis.randgen import rand_acyclic_quiver
 
 A3 = Quiver((0, 1, 2), ((0, 1), (1, 2)))
 LOOP = Quiver(("v",), (("v", "v"),))
@@ -293,11 +294,23 @@ def _check_oracle(template, side, radius, bound):
     return SemiperfectReport(side, "holds", radius, bound, per_vertex=tuple(counts))
 
 
+# a diamond 0 -> {1, 2} -> 3 -> 4 with a loop on 5, listed in two orders, so
+# that later vertices reuse the counts of earlier ones on either side; and
+# 2 -> 0 -> {3, 1}, with a loop on 1, where a walk that reuses a count then
+# passes the bound (from 0 forward, to 1 backward)
+_DIAMOND = ((0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (5, 5))
+_LOOP_BEHIND_COUNT = Quiver((3, 0, 1, 2), ((0, 1), (1, 1), (0, 3), (2, 0)))
+
 _ORACLE_TEMPLATES = {
     "loop": LoopTemplate(), "ray": RayTemplate(), "line": LineTemplate(),
     "star:3": StarTemplate(3),
     **{f"cycle{n}-chord{chord}-tail{int(tail)}": _cycle(n, chord, tail)
        for n in range(1, 6) for chord in (None, *range(n)) for tail in (False, True)},
+    **{f"diamond{order}": FiniteTemplate(Quiver(order, _DIAMOND))
+       for order in ((0, 1, 2, 3, 4, 5), (4, 3, 1, 2, 0, 5))},
+    **{f"dag{seed}": FiniteTemplate(rand_acyclic_quiver(random.Random(seed), 7, 14))
+       for seed in range(3)},
+    "loop-behind-count": FiniteTemplate(_LOOP_BEHIND_COUNT),
 }
 
 

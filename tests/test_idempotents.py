@@ -1,10 +1,17 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+from random import Random
 
 import pytest
 
 from dualis import idempotents
 from dualis.algebra import FinAlgebra, matrix_algebra
-from dualis.combinat import chain_poset, incidence_algebra
+from dualis.coalgebra import dual_algebra
+from dualis.combinat import chain_poset, incidence_algebra, path_coalgebra
 from dualis.errors import DecompositionFailed, ValidationError
 from dualis.fields import GF, QQ
 from dualis.finite_dual import group_bialgebra
@@ -16,6 +23,7 @@ from dualis.idempotents import (
     verify_family,
 )
 from dualis.linalg import basis_vec
+from dualis.randgen import conjugate_coalgebra, rand_acyclic_quiver, rand_invertible
 
 
 def vec_add(F, x, y):
@@ -220,3 +228,48 @@ def test_lift_rejects_a_family_that_does_not_sum_to_1(monkeypatch):
                         lambda B, x: (B.field.zero,) * B.dim)
     with pytest.raises(DecompositionFailed, match="lifted family does not sum to 1"):
         complete_primitive_idempotents(matrix_algebra(QQ, 2))
+
+
+# The exact root search against sympy, on the splitter's own inputs.
+
+@pytest.mark.parametrize("F", [QQ, GF(101)], ids=["q", "fp101"])
+def test_family_matches_the_sympy_path_on_conjugated_path_coalgebras(F, monkeypatch):
+    cases = []
+    for seed in range(6):
+        rng = Random(seed)
+        C, _ = path_coalgebra(F, rand_acyclic_quiver(rng, 5, 7, path_cap=30))
+        D, _ = conjugate_coalgebra(C, rand_invertible(F, rng, C.dim))
+        B = dual_algebra(D)
+        cases.append((B, complete_primitive_idempotents(B)))
+    # with no root search, every factorization goes to sympy's factor_list
+    asked = []
+    honest = idempotents._to_sympy_poly
+    monkeypatch.setattr(idempotents, "_roots", lambda F, m: None)
+    monkeypatch.setattr(idempotents, "_to_sympy_poly",
+                        lambda *args: asked.append(args) or honest(*args))
+    for B, got in cases:
+        assert complete_primitive_idempotents(B) == got
+    assert asked
+
+
+def test_the_battery_and_a_decomposition_run_without_sympy(tmp_path):
+    # the dual of the path coalgebra of 0 -> 1 is the upper triangular 2x2
+    # matrices, split into two vertex idempotents by the roots 0 and 1
+    spec = {"objects": {"c": {"type": "coalgebra", "field": "q", "dim": 3,
+                              "comult": [[0, 0, 0, "1"], [1, 1, 1, "1"],
+                                         [2, 0, 2, "1"], [2, 2, 1, "1"]],
+                              "counit": ["1", "1", "0"]}},
+            "checks": [{"check": "decompose_injectives", "refs": ["c"]}]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    program = (
+        "import contextlib, io, sys\n"
+        "from dualis.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['suite', 'paper-theorems', '--seed', '0']),\n"
+        "             main(['run', sys.argv[1], '--json'])]\n"
+        "print(codes, 'sympy' in sys.modules)\n")
+    src = str(Path(idempotents.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", program, str(path)], capture_output=True,
+                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.split() == ["[0,", "0]", "False"], proc.stderr
