@@ -14,7 +14,7 @@ bad reference, malformed block, unusable flag value, a flag the verb does
 not read; a file that is not UTF-8, nests past the recursion limit or holds
 an integer of over 4,300 digits is bad).  --trials, --max-dim, --radius and
 --bound take nonnegative integers only; a star template takes 1..1024 rays
-(combinat.MAX_STAR_RAYS).
+(combinat.MAX_STAR_RAYS), and --radius is capped by combinat.check_radius.
 """
 
 from __future__ import annotations

@@ -517,14 +517,26 @@ def _count_walks(template, v, forward: bool, bound: int, known: dict | None = No
             since = 0
 
 
+MAX_RADIUS = 100_000  # a check walks from every vertex within the radius
+
+
+def check_radius(template, radius: int) -> None:
+    """A star has rays x radius vertices within the radius, the others at
+    most 2 x radius + 1: refuse a radius above MAX_RADIUS // rays."""
+    cap = MAX_RADIUS // getattr(template, "rays", 1)
+    if not 0 <= radius <= cap:
+        raise ValidationError(f"radius {quoted(radius)} is outside 0..{cap} for {template.name}")
+
+
 def semiperfect_check(template, side: str, radius: int, bound: int,
                       cancel: CancelToken | None = None) -> SemiperfectReport:
     """Right semiperfect needs finitely many paths ending at each vertex,
     left semiperfect finitely many starting; walk the template and certify."""
     if side not in ("left", "right"):
         raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
-    if radius < 0 or bound < 0:
-        raise ValidationError(f"radius and bound must be nonnegative, got {radius} and {bound}")
+    check_radius(template, radius)
+    if bound < 0:
+        raise ValidationError(f"bound must be nonnegative, got {quoted(bound)}")
     forward = side == "left"
     known: dict = {}  # the certified counts so far, which later walks reuse
     for v in template.vertices_within(radius):

@@ -27,8 +27,9 @@ unless it nests too deep or holds too long an integer, as do a malformed
 block (a table index of Infinity too), a dim that is not a nonnegative
 integer or is above MAX_SPEC_DIM, a poset with more than MAX_SPEC_DIM
 elements, relation pairs or intervals, a bad template name or ray count, a
-non-list "refs", a non-object "params", a param key outside the check's
-schema and a param value of the wrong type.
+semiperfect radius past combinat.check_radius's cap, a non-list "refs", a
+non-object "params", a param key outside the check's schema and a param
+value of the wrong type.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .combinat import (
     verify_incidencedual_iso,
     verify_pathdual_iso,
     FiniteTemplate,
+    check_radius,
     semiperfect_check,
     transitive_closure,
 )
@@ -276,8 +278,14 @@ def parse_spec(text: str) -> SpecDocument:
         if len(refs) != 1:
             raise UnresolvedReference(
                 f"check {name!r} takes one {kind} ref, got {len(refs)}")
-        _ref(objects, refs[0], (kind,))
-        checks.append(Check(name, refs, _parse_params(name, item.get("params", {}))))
+        target = _ref(objects, refs[0], (kind,))
+        params = _parse_params(name, item.get("params", {}))
+        if name == "semiperfect":
+            try:
+                check_radius(target, params["radius"])
+            except ValidationError as e:
+                raise SpecParseError(f"check 'semiperfect' param 'radius': {e}") from e
+        checks.append(Check(name, refs, params))
     return SpecDocument(objects, tuple(checks))
 
 

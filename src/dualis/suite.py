@@ -6,6 +6,15 @@ fresh structures at the caller's knobs and re-checks the structural
 invariants on them.  Check functions either return a details dict or raise
 CriterionFailure carrying a replayable input block; anything else that
 escapes is reported as an error verdict.
+
+Every random trial of either suite, apart from criterion 5's lattice
+corpus, runs through each_trial as a predicate prop(knobs, F, rng) on a
+Random(key) of its own, key = f"{base}:{F.name()}:{t}" with base drawn
+once from the check's generator.  A trial that raises adds "trial" (the
+predicate's name), "field" and "key" to its verdict's replay block, as do
+criteria 9 and 11 for a drawn corpus instance, so one trial re-runs alone,
+without the trials before it: replay_trial(report.checks[i].replay) raises
+as it did (a corpus trial returns the instance).
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from .combinat import (
 )
 from .comodule import lattice_agreement_check, subcomodule_generated
 from .errors import DualisError
-from .fields import GF, QQ
+from .fields import GF, QQ, field_from_name
 from .linalg import basis_vec, dense_vec
 from .finite_dual import (
     LinRec,
@@ -98,49 +107,70 @@ class SuiteKnobs:
 FIELDS = (QQ, GF(101))
 
 
-def _fail(name, message, **extra):
-    raise CriterionFailure(message, {"criterion": name, **extra})
+def _require(holds: bool, message: str, **replay) -> None:
+    if not holds:
+        raise CriterionFailure(message, replay)
+
+
+def each_trial(knobs, rng: Random, count: int, prop, fields=FIELDS) -> list:
+    """The one trial loop: [(trial, prop(knobs, F, Random(key)))] for count
+    trials, F cycling through fields.  Each key is f"{base}:{F.name()}:{t}"
+    on a base drawn once from rng, so every trial has a stream of its own.
+    trial is {"trial": prop's name, "field", "key"}; an exception leaves
+    with it merged into its replay block, and replay_trial re-runs it."""
+    base = rng.getrandbits(64)
+    out = []
+    for t in range(count):
+        F = fields[t % len(fields)]
+        trial = {"trial": prop.__name__, "field": F.name(), "key": f"{base}:{F.name()}:{t}"}
+        try:
+            out.append((trial, prop(knobs, F, Random(trial["key"]))))
+        except Exception as e:
+            e.replay = {**getattr(e, "replay", {}), **trial}
+            raise
+    return out
 
 
 # ---------------------------------------------------------------------------
-# the twelve criteria
+# per-trial predicates prop(knobs, F, rng): they raise on a failed trial
 
-def c01_counitalization_adjunction(knobs: SuiteKnobs, rng: Random) -> dict:
-    lifted = 0
-    for F in FIELDS:
-        for n in range(knobs.triples):
-            D, C, f = rand_morphism_triple(F, rng, max_dim=4)
-            C1, proj = counitalize(C)
-            g, freedom = counital_lift(f, C1, proj)
-            if freedom != 0:
-                _fail("c01", f"lift not unique, freedom {freedom}",
-                      field=F.name(), trial=n)
-            if not g.counital:
-                _fail("c01", "lift lost the counit", field=F.name(), trial=n)
-            lifted += 1
-    return {"lifts": lifted, "fields": [F.name() for F in FIELDS]}
+def random_coalgebra(knobs, F, rng):
+    """A coalgebra of dim <= knobs.max_dim, counital half the time."""
+    return rand_coalgebra(F, rng, max_dim=knobs.max_dim, counital=bool(rng.randrange(2)))
 
 
-def c02_dual_of_counitalization(knobs: SuiteKnobs, rng: Random) -> dict:
-    done = 0
-    for F in FIELDS:
-        for _ in range(knobs.coalgebras):
-            C = rand_coalgebra(F, rng, max_dim=knobs.max_dim,
-                               counital=bool(rng.randrange(2)))
-            dual_unitalization_iso(C)  # raises unless bijective
-            done += 1
-    return {"isomorphisms": done}
+def random_path_coalgebra(knobs, F, rng):
+    Q = rand_acyclic_quiver(rng, max_vertices=5, max_arrows=6, path_cap=30)
+    return path_coalgebra(F, Q)[0]
 
 
-def c03_dual_of_unitalization(knobs: SuiteKnobs, rng: Random) -> dict:
-    done = 0
-    for F in FIELDS:
-        for _ in range(knobs.algebras):
-            A = rand_algebra(F, rng, max_dim=knobs.max_dim,
-                             unital=bool(rng.randrange(2)))
-            unital_dual_compat(A)  # raises unless bijective
-            done += 1
-    return {"isomorphisms": done}
+def unique_counital_lift(knobs, F, rng):
+    D, C, f = rand_morphism_triple(F, rng, max_dim=4)
+    C1, proj = counitalize(C)
+    g, freedom = counital_lift(f, C1, proj)
+    _require(freedom == 0, f"lift not unique, freedom {freedom}")
+    _require(g.counital, "lift lost the counit")
+
+
+def dual_of_counitalization(knobs, F, rng):
+    dual_unitalization_iso(random_coalgebra(knobs, F, rng))  # raises unless bijective
+
+
+def dual_of_unitalization(knobs, F, rng):
+    A = rand_algebra(F, rng, max_dim=knobs.max_dim, unital=bool(rng.randrange(2)))
+    unital_dual_compat(A)  # raises unless bijective
+
+
+def _seed_vector(F, rng, dim: int) -> tuple:
+    """A nonzero closure seed with entries in -2..2, half the time cut to at
+    most two entries: a sparse seed can take more than one round to close."""
+    x = [F.from_int(rng.randint(-2, 2)) for _ in range(dim)]
+    if rng.randrange(2):
+        keep = rng.sample(range(dim), min(dim, rng.randint(1, 2)))
+        x = [v if i in keep else F.zero for i, v in enumerate(x)]
+    if all(F.is_zero(v) for v in x):
+        x[0] = F.one
+    return tuple(x)
 
 
 def _dense_reduce(F, vecs):
@@ -161,80 +191,76 @@ def _dense_reduce(F, vecs):
     return out
 
 
-def _closure_oracle_coalgebra(C, x) -> int:
-    """Brute-force smallest subcoalgebra dimension by dense iteration."""
-    F = C.field
+def _closure_oracle(F, dim: int, x, terms, flips) -> int:
+    """Brute-force dimension of the smallest space holding x and, with each
+    vector v, the dense legs of terms(v) = {(i, j): c}: one vector sum_j c e_j
+    per i, and for a flip the same with (i, j) read as (j, i)."""
+    def legs(v):
+        out: dict = {}
+        for flip in flips:
+            for key, c in terms(v).items():
+                i, j = reversed(key) if flip else key
+                out.setdefault((flip, i), [F.zero] * dim)[j] = c
+        return list(out.values())
     span = _dense_reduce(F, [list(x)])
     while True:
-        extra = []
-        for v in span:
-            tensor = C.comult_of(tuple(v))
-            rows: dict = {}
-            cols: dict = {}
-            for (i, j), c in tensor.items():
-                r = rows.setdefault(i, [F.zero] * C.dim)
-                r[j] = F.add(r[j], c)
-                cl = cols.setdefault(j, [F.zero] * C.dim)
-                cl[i] = F.add(cl[i], c)
-            extra.extend(rows.values())
-            extra.extend(cols.values())
-        new = _dense_reduce(F, span + extra)
+        new = _dense_reduce(F, span + [w for v in span for w in legs(tuple(v))])
         if len(new) == len(span):
             return len(span)
         span = new
 
 
-def _closure_oracle_comodule(M, x) -> int:
-    """Brute-force smallest subcomodule dimension by dense iteration."""
-    F = M.coalgebra.field
-    span = _dense_reduce(F, [list(x)])
-    while True:
-        extra = []
-        for v in span:
-            cols: dict = {}
-            for (s, k), c in M.coaction_of(tuple(v)).items():
-                col = cols.setdefault(k, [F.zero] * M.dim)
-                col[s] = F.add(col[s], c)
-            extra.extend(cols.values())
-        new = _dense_reduce(F, span + extra)
-        if len(new) == len(span):
-            return len(span)
-        span = new
+def closures_match_oracles(knobs, F, rng) -> bool:
+    """Generated subcoalgebra and subcomodule against the dense oracles;
+    True when the coalgebra was counital and its comatrix cover checked."""
+    C = random_coalgebra(knobs, F, rng)
+    x = _seed_vector(F, rng, C.dim)
+    D, _ = subcoalgebra_generated(C, x)
+    want = _closure_oracle(F, C.dim, x, C.comult_of, (False, True))
+    _require(D.dim == want, f"closure dim {D.dim} vs oracle {want}")
+    M = rand_comodule(rng, C)
+    y = _seed_vector(F, rng, M.dim)
+    N, _ = subcomodule_generated(M, y)
+    want = _closure_oracle(F, M.dim, y, M.coaction_of, (True,))
+    _require(N.dim == want, f"subcomodule dim {N.dim} vs oracle {want}")
+    if C.is_counital():
+        comatrix_cover(C)
+    return C.is_counital()
+
+
+def pathdual_random_quiver(knobs, F, rng) -> int:
+    Q = rand_acyclic_quiver(rng, path_cap=knobs.quiver_path_cap)
+    return verify_pathdual_iso(F, Q)[0].source.dim
+
+
+def incidencedual_six_poset(knobs, F, rng):
+    P = rand_poset(rng, 6)
+    for G in FIELDS:
+        verify_incidencedual_iso(G, P)
+
+
+# ---------------------------------------------------------------------------
+# the twelve criteria
+
+def c01_counitalization_adjunction(knobs: SuiteKnobs, rng: Random) -> dict:
+    lifts = each_trial(knobs, rng, len(FIELDS) * knobs.triples, unique_counital_lift)
+    return {"lifts": len(lifts), "fields": [F.name() for F in FIELDS]}
+
+
+def c02_dual_of_counitalization(knobs: SuiteKnobs, rng: Random) -> dict:
+    done = each_trial(knobs, rng, len(FIELDS) * knobs.coalgebras, dual_of_counitalization)
+    return {"isomorphisms": len(done)}
+
+
+def c03_dual_of_unitalization(knobs: SuiteKnobs, rng: Random) -> dict:
+    done = each_trial(knobs, rng, len(FIELDS) * knobs.algebras, dual_of_unitalization)
+    return {"isomorphisms": len(done)}
 
 
 def c04_generated_closures(knobs: SuiteKnobs, rng: Random) -> dict:
-    trials = 0
-    covers = 0
-    while trials < knobs.closure_trials:
-        F = FIELDS[trials % 2]
-        C = rand_coalgebra(F, rng, max_dim=knobs.max_dim,
-                           counital=bool(rng.randrange(2)))
-        x = tuple(F.from_int(rng.randint(-2, 2)) for _ in range(C.dim))
-        if all(F.is_zero(v) for v in x):
-            x = tuple(F.one if i == 0 else F.zero for i in range(C.dim))
-        D, incl = subcoalgebra_generated(C, x)
-        want = _closure_oracle_coalgebra(C, x)
-        if D.dim != want:
-            _fail("c04", f"closure dim {D.dim} vs oracle {want}",
-                  field=F.name(), trial=trials,
-                  comult={str(k): {f"{i},{j}": str(v)
-                                   for (i, j), v in t.items()}
-                          for k, t in C.comult.items()})
-        M = rand_comodule(rng, C)
-        y = tuple(F.from_int(rng.randint(-2, 2)) for _ in range(M.dim))
-        if all(F.is_zero(v) for v in y):
-            y = tuple(F.one if i == 0 else F.zero for i in range(M.dim))
-        N, _ = subcomodule_generated(M, y)
-        want_m = _closure_oracle_comodule(M, y)
-        if N.dim != want_m:
-            _fail("c04", f"subcomodule dim {N.dim} vs oracle {want_m}",
-                  field=F.name(), trial=trials)
-        if C.is_counital():
-            comatrix_cover(C)
-            covers += 1
-        trials += 1
-    return {"trials": trials, "comatrix_covers": covers,
-            "comodule_trials": trials}
+    covered = each_trial(knobs, rng, knobs.closure_trials, closures_match_oracles)
+    return {"trials": len(covered), "comatrix_covers": sum(c for _, c in covered),
+            "comodule_trials": len(covered)}
 
 
 def c05_lattice_coincidence(knobs: SuiteKnobs, rng: Random) -> dict:
@@ -262,11 +288,9 @@ def c05_lattice_coincidence(knobs: SuiteKnobs, rng: Random) -> dict:
         corpus.append(M)
     for n, M in enumerate(corpus):
         out = lattice_agreement_check(M, seed=rng.randrange(1 << 30))
-        if not out["exhaustive"]:
-            _fail("c05", "corpus instance was not checked exhaustively",
-                  instance=n, dim=M.dim)
-        if out["agree"] != out["checked"]:
-            _fail("c05", "lattices disagree", instance=n)
+        _require(out["exhaustive"], "corpus instance was not checked exhaustively",
+                 instance=n, dim=M.dim)
+        _require(out["agree"] == out["checked"], "lattices disagree", instance=n)
         exhaustive_checked += out["checked"]
     sampled = 0
     for n in range(knobs.lattice_corpus):
@@ -274,40 +298,25 @@ def c05_lattice_coincidence(knobs: SuiteKnobs, rng: Random) -> dict:
         M = rand_comodule(rng, C, copies=1)
         out = lattice_agreement_check(M, seed=rng.randrange(1 << 30),
                                       samples=knobs.lattice_samples)
-        if out["agree"] != out["checked"]:
-            _fail("c05", "sampled lattices disagree", instance=n)
+        _require(out["agree"] == out["checked"], "sampled lattices disagree", instance=n)
         sampled += out["checked"]
-    return {"exhaustive_subspaces": exhaustive_checked,
-            "sampled_subspaces": sampled}
+    return {"exhaustive_subspaces": exhaustive_checked, "sampled_subspaces": sampled}
 
 
 def c06_pathdual_corpus(knobs: SuiteKnobs, rng: Random) -> dict:
     t0 = perf_counter()
-    dims = []
-    for n in range(knobs.quivers):
-        Q = rand_acyclic_quiver(rng, path_cap=knobs.quiver_path_cap)
-        alg, co = verify_pathdual_iso(QQ, Q)
-        dims.append(alg.source.dim)
+    dims = [d for _, d in each_trial(knobs, rng, knobs.quivers, pathdual_random_quiver, (QQ,))]
     elapsed = perf_counter() - t0
-    if elapsed >= 60.0:
-        _fail("c06", f"runtime budget exceeded: {elapsed:.1f}s")
-    return {"quivers": knobs.quivers, "max_dim": max(dims),
-            "total_dim": sum(dims)}
+    _require(elapsed < 60.0, f"runtime budget exceeded: {elapsed:.1f}s")
+    return {"quivers": len(dims), "max_dim": max(dims), "total_dim": sum(dims)}
 
 
 def c07_incidencedual_posets(knobs: SuiteKnobs, rng: Random) -> dict:
-    checked = 0
-    for n in range(1, 6):
-        for P in all_posets_up_to_iso(n):
-            verify_incidencedual_iso(QQ, P)
-            checked += 1
-    sampled = 0
-    for _ in range(knobs.poset_samples):
-        P = rand_poset(rng, 6)
+    exhaustive = [P for n in range(1, 6) for P in all_posets_up_to_iso(n)]
+    for P in exhaustive:
         verify_incidencedual_iso(QQ, P)
-        verify_incidencedual_iso(GF(101), P)
-        sampled += 1
-    return {"exhaustive": checked, "sampled_at_6": sampled}
+    sampled = each_trial(knobs, rng, knobs.poset_samples, incidencedual_six_poset, (QQ,))
+    return {"exhaustive": len(exhaustive), "sampled_at_6": len(sampled)}
 
 
 def c08_linearly_recursive(knobs: SuiteKnobs, rng: Random) -> dict:
@@ -316,15 +325,12 @@ def c08_linearly_recursive(knobs: SuiteKnobs, rng: Random) -> dict:
     while len(fib) < terms:
         fib.append(fib[-1] + fib[-2])
     out = linrec_analyze(QQ, fib, 10)
-    if not isinstance(out, LinRec) or out.order != 2:
-        _fail("c08", "Fibonacci recurrence not found")
-    if list(out.poly) != [-1, -1, 1]:
-        _fail("c08", f"wrong minimal polynomial {out.poly}")
+    _require(isinstance(out, LinRec) and out.order == 2, "Fibonacci recurrence not found")
+    _require(list(out.poly) == [-1, -1, 1], f"wrong minimal polynomial {out.poly}")
     G = polynomial_algebra(QQ, terms - 1)
     f = seq_functional(QQ, fib)
     pairs = delta_of_functional(G, f, 4)
-    if isinstance(pairs, NotWithinBound):
-        _fail("c08", "Fibonacci delta fell outside its bound")
+    _require(not isinstance(pairs, NotWithinBound), "Fibonacci delta fell outside its bound")
     for a in range(21):
         for b in range(21 - a):
             lhs = f({(a + b, 0): QQ.one})
@@ -332,93 +338,69 @@ def c08_linearly_recursive(knobs: SuiteKnobs, rng: Random) -> dict:
             for g, h in pairs:
                 rhs = QQ.add(rhs, QQ.mul(g({(a, 0): QQ.one}),
                                          h({(b, 0): QQ.one})))
-            if lhs != rhs:
-                _fail("c08", f"delta identity fails at degrees {a},{b}")
+            _require(lhs == rhs, f"delta identity fails at degrees {a},{b}")
     const = linrec_analyze(QQ, [3] * terms, 10)
-    if not isinstance(const, LinRec) or const.order != 1 or \
-            list(const.poly) != [-1, 1]:
-        _fail("c08", "constant sequence recurrence wrong")
+    _require(isinstance(const, LinRec) and const.order == 1 and list(const.poly) == [-1, 1],
+             "constant sequence recurrence wrong")
     fact = [1]
     for n in range(1, terms):
         fact.append(fact[-1] * n)
     worse = linrec_analyze(QQ, fact, 15)
-    if not isinstance(worse, NotWithinBound) or worse.dim != 16:
-        _fail("c08", "factorial sequence was not rejected at bound 15")
+    _require(isinstance(worse, NotWithinBound) and worse.dim == 16,
+             "factorial sequence was not rejected at bound 15")
     return {"fibonacci_order": 2, "delta_pairs": len(pairs),
             "products_checked": sum(21 - a for a in range(21))}
 
 
 def corpus_coalgebras(knobs: SuiteKnobs, rng: Random) -> list:
-    """The shared instance corpus for criteria 9 and 11."""
-    corpus = []
-    for F in FIELDS:
-        for n in range(knobs.coalgebras):
-            corpus.append(("random", rand_coalgebra(
-                F, rng, max_dim=knobs.max_dim,
-                counital=bool(rng.randrange(2)))))
-    for n in range(40):
-        Q = rand_acyclic_quiver(rng, max_vertices=5, max_arrows=6,
-                                path_cap=30)
-        C, _ = path_coalgebra(QQ, Q)
-        corpus.append(("path", C))
-    for n in range(1, 5):
-        for P in all_posets_up_to_iso(n):
-            C, _ = incidence_coalgebra(QQ, P)
-            corpus.append(("incidence", C))
-    for F in FIELDS:
-        for name, H in hopf_instances(F):
-            corpus.append((name, H.coalgebra))
-    for radius in knobs.radii:
-        for tname in ("ray", "line", "star:2", "loop"):
-            Q = make_template(tname).truncate(radius)
-            C, _ = path_coalgebra(QQ, Q, max_len=radius)
-            corpus.append((f"{tname}-r{radius}", C))
+    """The shared instance corpus for criteria 9 and 11: (label, C, trial),
+    where trial is the each_trial block of a drawn instance and {} for a
+    fixed one."""
+    drawn = each_trial(knobs, rng, len(FIELDS) * knobs.coalgebras, random_coalgebra)
+    corpus = [("random", C, trial) for trial, C in drawn]
+    drawn = each_trial(knobs, rng, 40, random_path_coalgebra, (QQ,))
+    corpus += [("path", C, trial) for trial, C in drawn]
+    fixed = [("incidence", incidence_coalgebra(QQ, P)[0])
+             for n in range(1, 5) for P in all_posets_up_to_iso(n)]
+    fixed += [(name, H.coalgebra) for F in FIELDS for name, H in hopf_instances(F)]
+    fixed += [(f"{t}-r{r}", path_coalgebra(QQ, make_template(t).truncate(r), max_len=r)[0])
+              for r in knobs.radii for t in ("ray", "line", "star:2", "loop")]
     for F in FIELDS:
         for n in (1, 2):
-            corpus.append((f"comatrix-{n}", comatrix(F, n)))
+            fixed.append((f"comatrix-{n}", comatrix(F, n)))
         for n in (2, 3, 4):
-            corpus.append((f"divided-{n}", divided_power_coalgebra(F, n)))
-            corpus.append((f"grouplike-{n}", grouplike_coalgebra(F, n)))
-    return corpus
+            fixed.append((f"divided-{n}", divided_power_coalgebra(F, n)))
+            fixed.append((f"grouplike-{n}", grouplike_coalgebra(F, n)))
+    return corpus + [(label, C, {}) for label, C in fixed]
 
 
 def c09_evaluation_bijective(knobs: SuiteKnobs, rng: Random) -> dict:
     corpus = corpus_coalgebras(knobs, rng)
-    if len(corpus) < knobs.corpus_min:
-        _fail("c09", f"corpus too small: {len(corpus)}")
-    for n, (label, C) in enumerate(corpus):
+    _require(len(corpus) >= knobs.corpus_min, f"corpus too small: {len(corpus)}")
+    for n, (label, C, trial) in enumerate(corpus):
         rep = left_coreflexive_check(C)
-        if not rep.bijective or rep.kernel_rank != 0 or \
-                rep.source_dim != rep.target_dim:
-            _fail("c09", "evaluation not bijective", instance=n, label=label)
+        _require(rep.bijective and rep.kernel_rank == 0 and rep.source_dim == rep.target_dim,
+                 "evaluation not bijective", instance=n, label=label, **trial)
     return {"instances": len(corpus)}
 
 
 def c10_semiperfect_cross_validation(knobs: SuiteKnobs, rng: Random) -> dict:
     finite = FiniteTemplate(Quiver((0, 1, 2), ((0, 1), (1, 2))))
-    templates = [("finite", finite), ("ray", make_template("ray")),
-                 ("line", make_template("line")),
-                 ("star", make_template("star:3")),
-                 ("loop", make_template("loop"))]
-    expected = {
-        "finite": {"right": "holds", "left": "holds"},
-        "ray": {"right": "holds", "left": "fails"},
-        "line": {"right": "fails", "left": "fails"},
-        "star": {"right": "holds", "left": "fails"},
-        "loop": {"right": "fails", "left": "fails"},
-    }
+    # name, template, and the expected verdicts on the right and left sides
+    templates = [("finite", finite, "holds", "holds"),
+                 ("ray", make_template("ray"), "holds", "fails"),
+                 ("line", make_template("line"), "fails", "fails"),
+                 ("star", make_template("star:3"), "holds", "fails"),
+                 ("loop", make_template("loop"), "fails", "fails")]
     records = 0
-    for name, template in templates:
+    for name, template, right, left in templates:
         out = semiperfect_iff_injective_harness(template, radii=knobs.radii)
-        if out["disagreements"]:
-            _fail("c10", f"{name}: {out['disagreements']} disagreements",
-                  template=name)
+        _require(not out["disagreements"], f"{name}: {out['disagreements']} disagreements",
+                 template=name)
         for rec in out["records"]:
-            want = expected[name][rec["side"]]
-            if rec["status"] != want:
-                _fail("c10",
-                      f"{name} {rec['side']} r{rec['radius']}: "
-                      f"{rec['status']} != {want}", template=name)
+            want = right if rec["side"] == "right" else left
+            _require(rec["status"] == want, f"{name} {rec['side']} r{rec['radius']}: "
+                     f"{rec['status']} != {want}", template=name)
             records += 1
     return {"templates": len(templates), "records": records,
             "line_fails_both_sides": True}
@@ -428,7 +410,7 @@ def c11_counit_recovered(knobs: SuiteKnobs, rng: Random) -> dict:
     corpus = corpus_coalgebras(knobs, rng)
     done = 0
     skipped = 0
-    for n, (label, C) in enumerate(corpus):
+    for n, (label, C, trial) in enumerate(corpus):
         if not C.is_counital():
             skipped += 1
             continue
@@ -438,11 +420,10 @@ def c11_counit_recovered(knobs: SuiteKnobs, rng: Random) -> dict:
             acc = C.field.zero
             for e in dec.idempotents:
                 acc = C.field.add(acc, e[k])
-            if acc != C.counit[k]:
-                _fail("c11", "counit composite mismatch", instance=n,
-                      label=label)
-        if total != tuple(C.counit):
-            _fail("c11", "recovered counit differs", instance=n, label=label)
+            _require(acc == C.counit[k], "counit composite mismatch", instance=n,
+                     label=label, **trial)
+        _require(total == tuple(C.counit), "recovered counit differs", instance=n,
+                 label=label, **trial)
         done += 1
     for radius in knobs.radii:
         Q = make_template("ray").truncate(radius)
@@ -450,8 +431,8 @@ def c11_counit_recovered(knobs: SuiteKnobs, rng: Random) -> dict:
         verts = len(Q.vertices)
         idems = [basis_vec(QQ, C.dim, i) for i in range(verts)]
         dec = decompose_injectives(C, "right", idempotents=idems)
-        if counit_from_decomposition(dec) != tuple(C.counit):
-            _fail("c11", f"ray truncation radius {radius} counit differs")
+        _require(counit_from_decomposition(dec) == tuple(C.counit),
+                 f"ray truncation radius {radius} counit differs")
         done += 1
     return {"verified": done, "skipped_non_counital": skipped}
 
@@ -461,9 +442,9 @@ def c12_hopf_selfduality(knobs: SuiteKnobs, rng: Random) -> dict:
     for F in FIELDS:
         for name, H in hopf_instances(F):
             out = hopf_selfdual_check(H)
-            if not (out["double_dual_identity"] and
-                    out["evaluation_bijective"] and out["counit_recovered"]):
-                _fail("c12", f"{name} over {F.name()} failed", instance=name)
+            _require(out["double_dual_identity"] and out["evaluation_bijective"]
+                     and out["counit_recovered"], f"{name} over {F.name()} failed",
+                     instance=name)
             checked.append(f"{name}:{F.name()}")
     return {"instances": checked}
 
@@ -494,63 +475,63 @@ class RandomKnobs:
     field: str | None = None
 
 
+def algebras_validate(knobs, F, rng):
+    A = rand_algebra(F, rng, max_dim=knobs.max_dim, unital=bool(rng.randrange(2)))
+    _require(unitalize(A)[0].dim == A.dim + 1, "unitalization dimension wrong")
+
+
+def double_dual_identity(knobs, F, rng):
+    C = random_coalgebra(knobs, F, rng)
+    D = dual_coalgebra(dual_algebra(C))
+    _require(D.comult == C.comult and D.counit == C.counit, "double dual changed the tables")
+
+
+def closures_idempotent(knobs, F, rng):
+    C = rand_coalgebra(F, rng, max_dim=knobs.max_dim)
+    D, incl = subcoalgebra_generated(C, _seed_vector(F, rng, C.dim))
+    y = dense_vec(F, C.dim, incl.matrix.columns()[0])
+    _require(subcoalgebra_generated(C, y)[0].dim <= D.dim, "closure grew on re-generation")
+
+
+def conjugation_iso(knobs, F, rng):
+    C = rand_coalgebra(F, rng, max_dim=knobs.max_dim)
+    P = rand_invertible(F, rng, C.dim)
+    _require(conjugate_coalgebra(C, P)[1].is_bijective(), "conjugation not bijective")
+
+
+def adjunction_lifts(knobs, F, rng):
+    D, C, f = rand_morphism_triple(F, rng, max_dim=knobs.max_dim)
+    C1, proj = counitalize(C)
+    _require(counital_lift(f, C1, proj)[1] == 0, "non-unique lift")
+
+
+# the randomized suite's properties, each named as its predicate with dashes
+RANDOMIZED = (algebras_validate, double_dual_identity, closures_idempotent, conjugation_iso,
+              adjunction_lifts)
+
+# every predicate each_trial runs, by the name a failure block gives it
+TRIALS = {p.__name__: p for p in (
+    random_coalgebra, random_path_coalgebra, unique_counital_lift, dual_of_counitalization,
+    dual_of_unitalization, closures_match_oracles, pathdual_random_quiver,
+    incidencedual_six_poset, *RANDOMIZED)}
+
+
 def _randomized_items(knobs: RandomKnobs):
     if knobs.trials <= 0 or knobs.max_dim <= 0:
         return []
-    if knobs.field is None:
-        fields = FIELDS
-    else:
-        from .fields import field_from_name
-        fields = (field_from_name(knobs.field),)
+    fields = FIELDS if knobs.field is None else (field_from_name(knobs.field),)
 
-    def each_trial(prop, message):
-        """Run prop(F, rng) -> holds once per trial, on a field drawn first."""
-        def run(rng):
-            for _ in range(knobs.trials):
-                if not prop(fields[rng.randrange(len(fields))], rng):
-                    return False, {"message": message}
-            return True, {"trials": knobs.trials}
-        return run
+    def run(prop):
+        return lambda rng: (True, {"trials": len(each_trial(knobs, rng, knobs.trials, prop,
+                                                            fields))})
+    return [(prop.__name__.replace("_", "-"), run(prop)) for prop in RANDOMIZED]
 
-    def algebras_validate(F, rng):
-        A = rand_algebra(F, rng, max_dim=knobs.max_dim,
-                         unital=bool(rng.randrange(2)))
-        return unitalize(A)[0].dim == A.dim + 1
 
-    def double_dual_identity(F, rng):
-        C = rand_coalgebra(F, rng, max_dim=knobs.max_dim,
-                           counital=bool(rng.randrange(2)))
-        D = dual_coalgebra(dual_algebra(C))
-        return D.comult == C.comult and D.counit == C.counit
-
-    def closures_idempotent(F, rng):
-        C = rand_coalgebra(F, rng, max_dim=knobs.max_dim)
-        x = tuple(F.from_int(rng.randint(-2, 2)) for _ in range(C.dim))
-        D, incl = subcoalgebra_generated(C, x)
-        if D.dim == 0:
-            return True
-        y = dense_vec(F, C.dim, incl.matrix.columns()[0])
-        return subcoalgebra_generated(C, y)[0].dim <= D.dim
-
-    def conjugation_iso(F, rng):
-        C = rand_coalgebra(F, rng, max_dim=knobs.max_dim)
-        P = rand_invertible(F, rng, C.dim)
-        return conjugate_coalgebra(C, P)[1].is_bijective()
-
-    def adjunction_lifts(F, rng):
-        D, C, f = rand_morphism_triple(F, rng, max_dim=knobs.max_dim)
-        C1, proj = counitalize(C)
-        return counital_lift(f, C1, proj)[1] == 0
-
-    return [
-        ("algebras-validate", each_trial(algebras_validate, "unitalization dimension wrong")),
-        ("double-dual-identity", each_trial(double_dual_identity,
-                                            "double dual changed the tables")),
-        ("closures-idempotent", each_trial(closures_idempotent,
-                                           "closure grew on re-generation")),
-        ("conjugation-iso", each_trial(conjugation_iso, "conjugation not bijective")),
-        ("adjunction-lifts", each_trial(adjunction_lifts, "non-unique lift")),
-    ]
+def replay_trial(block: dict, knobs=None):
+    """Re-run, alone, the trial a replay block names; it raises as it did.
+    knobs default to the defaults of the block's suite."""
+    knobs = knobs or (SuiteKnobs() if block["check"] in dict(CRITERIA) else RandomKnobs())
+    return TRIALS[block["trial"]](knobs, field_from_name(block["field"]), Random(block["key"]))
 
 
 # ---------------------------------------------------------------------------
@@ -570,14 +551,11 @@ def _run_items(items, seed: int) -> Report:
             ok, details = fn(rng)
             verdict = "pass" if ok else "fail"
             replay = None if ok else block
-        except CriterionFailure as e:
-            verdict = "fail"
-            details = {"message": str(e)}
-            replay = {**block, **e.replay}
         except Exception as e:  # noqa: BLE001 - report, never crash the run
-            verdict = "error"
-            details = {"message": f"{type(e).__name__}: {e}"}
-            replay = block
+            failed = isinstance(e, CriterionFailure)
+            verdict = "fail" if failed else "error"
+            details = {"message": str(e) if failed else f"{type(e).__name__}: {e}"}
+            replay = {**block, **getattr(e, "replay", {})}
         ms = (perf_counter() - t0) * 1000.0
         return CheckResult(ix, name, verdict, details, replay, ms)
 

@@ -171,6 +171,16 @@ def _bad_input_cases():
     yield pytest.param(None, ["suite", "randomized", "--field", "fp:banana"],
                        id="suite-bad-field")
     yield pytest.param(None, ["semiperfect", "banana"], id="semiperfect-bad-template")
+    # radii past combinat.MAX_RADIUS, or past it in vertices on a wide star
+    for template, radius in (("ray", 100_000_000), ("line", 100_001), ("star:1024", 98)):
+        yield pytest.param(None, ["semiperfect", template, "--side", "right", "--radius",
+                                  str(radius), "--bound", str(10**12)],
+                           id=f"semiperfect-radius-{template}")
+        doc = {"objects": {"t": {"type": "quiver-template", "name": template}},
+               "checks": [{"check": "semiperfect", "refs": ["t"],
+                           "params": {"radius": radius, "bound": 10**12}}]}
+        yield pytest.param(json.dumps(doc).encode(), ["run", "FILE"],
+                           id=f"run-semiperfect-radius-{template}")
 
 
 @pytest.mark.parametrize("data, argv", list(_bad_input_cases()))

@@ -1,10 +1,17 @@
-"""Built-in batteries: determinism, vacuous knobs, runner behavior."""
+"""Built-in batteries: determinism, vacuous knobs, runner behavior, and
+trials that replay alone."""
 
+import ast
 import json
+from pathlib import Path
+from random import Random
+from time import perf_counter
 
 import pytest
 
+from dualis import linalg, suite
 from dualis.errors import DualisError
+from dualis.fields import field_from_name
 from dualis.suite import (
     CRITERIA,
     CriterionFailure,
@@ -12,7 +19,9 @@ from dualis.suite import (
     SuiteKnobs,
     _run_items,
     builtin_suite,
+    c01_counitalization_adjunction,
     corpus_coalgebras,
+    replay_trial,
 )
 
 
@@ -132,11 +141,17 @@ def test_corpus_meets_size_floor_and_mixes_kinds():
     from random import Random
     corpus = corpus_coalgebras(knobs, Random("corpus-probe"))
     assert len(corpus) >= knobs.corpus_min
-    labels = {label.split("-")[0] for label, _ in corpus}
+    labels = {label.split("-")[0] for label, _, _ in corpus}
     assert {"random", "path", "incidence", "comatrix"} <= labels
-    counital = sum(1 for _, C in corpus if C.counit is not None)
+    counital = sum(1 for _, C, _ in corpus if C.counit is not None)
     assert counital >= 150
-    assert any(C.counit is None for _, C in corpus)
+    assert any(C.counit is None for _, C, _ in corpus)
+    # a drawn instance carries the trial that rebuilds it, a fixed one none
+    for label, C, trial in corpus:
+        assert (set(trial) == {"trial", "field", "key"}) == (label in ("random", "path"))
+    label, C, trial = corpus[7]
+    again = replay_trial({"check": "evaluation-bijective", **trial}, knobs)
+    assert (again.comult, again.counit) == (C.comult, C.counit)
 
 
 def test_canonical_json_has_no_floats():
@@ -155,3 +170,126 @@ def test_canonical_json_has_no_floats():
                 walk(v)
 
     walk(parsed)
+
+
+def _fingerprint(f):
+    return repr((sorted(f.matrix.entries.items()), sorted(f.source.comult.items()),
+                 sorted(f.target.comult.items())))
+
+
+def test_a_failing_trial_replays_alone(monkeypatch):
+    # a fault that fires on one drawn morphism only, far into the run
+    knobs = SuiteKnobs(triples=6)
+    item = [("counitalization-adjunction",
+             lambda rng: (True, c01_counitalization_adjunction(knobs, rng)))]
+    real = suite.counital_lift
+    seen = []
+
+    def observed(f, C1, proj):
+        seen.append(_fingerprint(f))
+        return real(f, C1, proj)
+
+    monkeypatch.setattr(suite, "counital_lift", observed)
+    assert _run_items(item, seed=4).passed
+    assert len(seen) == 12
+    # the last morphism drawn once, well after the first trial
+    target = next(fp for fp in reversed(seen) if seen.count(fp) == 1)
+    assert seen.index(target) >= 6
+
+    def faulty(f, C1, proj):
+        seen.append(_fingerprint(f))
+        g, freedom = real(f, C1, proj)
+        return g, (1 if seen[-1] == target else freedom)
+
+    monkeypatch.setattr(suite, "counital_lift", faulty)
+    result = _run_items(item, seed=4).checks[0]
+    assert result.verdict == "fail"
+    assert result.details == {"message": "lift not unique, freedom 1"}
+    block = result.replay
+    assert block["trial"] == "unique_counital_lift"
+    assert block["field"] in ("q", "fp:101")
+    # the key alone re-runs that trial: one lift, the same failure
+    seen.clear()
+    t0 = perf_counter()
+    with pytest.raises(CriterionFailure, match="lift not unique, freedom 1"):
+        suite.unique_counital_lift(knobs, field_from_name(block["field"]), Random(block["key"]))
+    assert perf_counter() - t0 < 1.0
+    assert seen == [target]
+    with pytest.raises(CriterionFailure, match="freedom 1"):
+        replay_trial(block, knobs)
+
+
+def test_one_round_closure_fails_c04(monkeypatch):
+    # c04's sparse seeds need more than one round of Delta legs or rho
+    # columns to reach the closure; the battery's seed-0 run must catch a
+    # close() that stops after one
+    def one_round(self, images):
+        for row in [dict(r) for r in self._num]:
+            for w in images(row):
+                self.add(w)
+        return self
+
+    monkeypatch.setattr(linalg.RowSpace, "close", one_round)
+    monkeypatch.setattr(suite, "CRITERIA", [
+        (name, fn if name == "generated-closures" else (lambda knobs, rng: {}))
+        for name, fn in CRITERIA])
+    result = builtin_suite("paper-theorems", seed=0).checks[3]
+    assert result.name == "generated-closures"
+    assert result.verdict != "pass"
+    assert {"trial", "field", "key"} <= set(result.replay)
+    with pytest.raises(Exception, match=result.details["message"].split(": ")[-1]):
+        replay_trial(result.replay)
+
+
+_FIELDS = {"FIELDS", "fields"}
+
+
+def _loops(fn):
+    """(iterables, node) of each for statement and comprehension in fn."""
+    for node in ast.walk(fn):
+        if isinstance(node, ast.For):
+            yield [node.iter], node
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            yield [g.iter for g in node.generators], node
+
+
+def _is_range(it) -> bool:
+    return isinstance(it, ast.Call) and getattr(it.func, "id", None) == "range"
+
+
+def _counts_own_trials(fn) -> bool:
+    """Does fn pick fields by index, loop over the fields around a range
+    loop, or, handed a check's generator as (knobs, rng), draw from it in a
+    range loop?"""
+    if any(isinstance(n, ast.Subscript) and getattr(n.value, "id", None) in _FIELDS
+           for n in ast.walk(fn)):
+        return True
+    takes_stream = [a.arg for a in fn.args.args] == ["knobs", "rng"]
+    for iters, node in _loops(fn):
+        inner = [i for its, _ in _loops(node) for i in its]  # node's own iters too
+        if any(getattr(i, "id", None) in _FIELDS for i in iters) and any(map(_is_range, inner)):
+            return True
+        if takes_stream and any(map(_is_range, iters)) and any(
+                getattr(n, "id", None) == "rng" for n in ast.walk(node)):
+            return True
+    return False
+
+
+def test_random_trials_go_through_each_trial():
+    # every Random of the suites is built in the one trial loop, in the
+    # runner, by replay_trial or as c05's fixed per-instance coalgebras, and
+    # no other function runs trials over the fields or the check's stream
+    # itself; c05's fixed corpus of lattice instances is the one exception
+    allowed = {"each_trial", "_run_items", "replay_trial", "c05_lattice_coincidence"}
+    makers, own_loops = set(), set()
+    tree = ast.parse(Path(suite.__file__).read_text(encoding="utf-8"))
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        if any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "Random"
+               for n in ast.walk(fn)):
+            makers.add(fn.name)
+        if _counts_own_trials(fn):
+            own_loops.add(fn.name)
+    assert "each_trial" in makers and makers <= allowed, sorted(makers - allowed)
+    assert own_loops == {"each_trial", "c05_lattice_coincidence"}, sorted(own_loops)

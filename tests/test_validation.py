@@ -363,7 +363,6 @@ def test_scalar_sums_go_through_the_kernel():
     # (F.add, QQ.add, <expr>.field.add, or .sub) is left only in the radical's
     # trace and in the suite's independent reference oracles
     allowed = {"algebra.py:_radical_quotient", "suite.py:_dense_reduce",
-               "suite.py:_closure_oracle_coalgebra", "suite.py:_closure_oracle_comodule",
                "suite.py:c08_linearly_recursive", "suite.py:c11_counit_recovered"}
     sites = set()
     for path in sorted(Path(dualis.__file__).parent.glob("*.py")):
