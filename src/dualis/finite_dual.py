@@ -498,10 +498,12 @@ class LinRec:
 
 
 def linrec_analyze(F: Field, seq, rank_bound: int):
-    """Smallest-order linear recurrence valid over the whole stored sequence.
+    """Smallest-order linear recurrence valid over the whole stored sequence,
+    by Berlekamp-Massey (Massey, IEEE Trans. Inf. Theory 15, 1969) in
+    O(n * order) field operations.
 
     Returns LinRec or NotWithinBound; raises InsufficientData when the
-    sequence is too short to support the requested bound.
+    sequence is too short to make the recurrence of order <= rank_bound unique.
     """
     seq = [F.from_int(v) if isinstance(v, int) else v for v in seq]
     n = len(seq)
@@ -510,12 +512,16 @@ def linrec_analyze(F: Field, seq, rank_bound: int):
             f"need at least {2 * rank_bound + 2} terms, have {n}")
     if all(F.is_zero(v) for v in seq):
         return LinRec(0, (F.one,))
-    for d in range(1, rank_bound + 1):
-        rows = [seq[m:m + d] for m in range(n - d)]
-        rhs = tuple(seq[m + d] for m in range(n - d))
-        M = SparseMatrix.from_rows(F, [tuple(r) for r in rows], d)
-        sol = M.solve(rhs)
-        if sol is not None:
-            poly = tuple(F.neg(c) for c in sol) + (F.one,)
-            return LinRec(d, poly)
-    return NotWithinBound(rank_bound + 1, rank_bound)
+    # C annihilates seq[:m] (sum of C[i] * seq[k - i] is 0 for L <= k < m);
+    # B was C before L last grew, when its discrepancy was b, gap steps ago
+    C, B, b, L, gap = {0: F.one}, {0: F.one}, F.one, 0, 1
+    for m in range(n):
+        d = dot(F, C, {i: seq[m - i] for i in C})
+        if not F.is_zero(d):
+            C, prev = axpy(F, dict(C), F.neg(F.div(d, b)), {i + gap: v for i, v in B.items()}), C
+            if 2 * L <= m:
+                L, B, b, gap = m + 1 - L, prev, d, 0
+                if L > rank_bound:
+                    return NotWithinBound(rank_bound + 1, rank_bound)
+        gap += 1
+    return LinRec(L, tuple(C.get(L - j, F.zero) for j in range(L + 1)))

@@ -10,7 +10,8 @@ twice the columns (Zassenhaus), and SparseMatrix rank, kernel, solve and
 inverse read the one built from their rows.  A row's pivot is its first
 nonzero entry once the earlier pivots are cleared, so every result is
 deterministic; there are no magnitude-based choices to make in exact
-arithmetic.
+arithmetic.  Rows are keyed by pivot and fully reduced: reducing a vector
+walks its support and takes off its entry at each pivot times that row.
 
 Elimination is fraction-free: over Q a RowSpace keeps integer rows over one
 shared denominator and divides by it exactly (Bareiss), and over F_p the
@@ -23,7 +24,6 @@ linear maps, which close grows and closed_under tests.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import lcm
@@ -246,16 +246,14 @@ class SparseMatrix:
     def kernel_basis(self) -> list[tuple]:
         """Basis of the right null space, rows in reduced echelon order."""
         F = self.field
-        rs = RowSpace(F, self.cols, self._row_dicts())
-        pivot_set = set(rs._pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
+        rows = RowSpace(F, self.cols, self._row_dicts())._rows
         basis = []
-        for fc in free:
+        for fc in [c for c in range(self.cols) if c not in rows]:
             v = [F.zero] * self.cols
             v[fc] = F.one
-            for pc, row in zip(rs._pivots, rs._rows):
-                coeff = row.get(fc, F.zero)
-                if not F.is_zero(coeff):
+            for pc, row in rows.items():
+                coeff = row.get(fc)
+                if coeff is not None:
                     v[pc] = F.neg(coeff)
             basis.append(tuple(v))
         return basis
@@ -271,7 +269,7 @@ class SparseMatrix:
                 rows[i][self.cols] = bi
         rs = RowSpace(F, self.cols + 1, rows)
         x = [F.zero] * self.cols
-        for pc, row in zip(rs._pivots, rs._rows):
+        for pc, row in rs._rows.items():
             if pc == self.cols:
                 return None
             x[pc] = row.get(self.cols, F.zero)
@@ -295,10 +293,10 @@ class SparseMatrix:
         for i in range(n):
             rows[i][n + i] = F.one
         rs = RowSpace(F, 2 * n, rows)
-        if rs._pivots[:n] != list(range(n)):
+        if rs.pivots()[:n] != list(range(n)):
             raise DimensionMismatch("matrix is singular")
         ent = {}
-        for i, row in enumerate(rs._rows):
+        for i, row in enumerate(rs._rows.values()):
             for j, v in row.items():
                 if j >= n:
                     ent[(i, j - n)] = v
@@ -331,45 +329,47 @@ class RowSpace:
     Vectors may be given as tuples of length n or as sparse {index: scalar}
     dicts with indices in range(n); anything else raises DimensionMismatch.
 
-    The form is kept fraction-free: integer rows _num over one positive
-    integer _den, every pivot entry equal to _den, so that row i of the
-    reduced echelon form is _num[i] / _den.  Over Q, _den is |det| of the
-    pivot block of the vectors that grew the space, each scaled to integers
-    by the lcm of its denominators, and each entry of _num is a minor of
-    those vectors (Cramer's rule).  Growing the space multiplies the rows by
-    the new pivot and divides by the old _den, and that division is exact
-    (Sylvester's identity; Bareiss, Math. Comp. 22, 1968).  Over F_p, _den
-    stays 1: a new row is scaled by the inverse of its pivot.
+    The form is kept fraction-free: integer rows _num[pc], keyed by pivot
+    column pc, over one positive integer _den, every pivot entry equal to
+    _den, so that _num[pc] / _den is the reduced echelon row with pivot pc.
+    Over Q, _den is |det| of the pivot block of the vectors that grew the
+    space, each scaled to integers by the lcm of its denominators, and each
+    entry of _num is a minor of those vectors (Cramer's rule).  Growing the
+    space multiplies the rows by the new pivot and divides by the old _den,
+    and that division is exact (Sylvester's identity; Bareiss, Math. Comp.
+    22, 1968).  Over F_p, _den stays 1: a new row is scaled by the inverse
+    of its pivot.
     """
 
     def __init__(self, F: Field, ambient: int, vectors=()):
         self.field = F
         self.ambient = ambient
-        self._num: list[dict] = []   # sorted by pivot column, each fully reduced
-        self._pivots: list[int] = []
+        self._num: dict[int, dict] = {}   # pivot column -> fully reduced row
         self._den = 1
-        self._rref: list[dict] | None = None
+        self._rref: dict | None = None
         for v in vectors:
             self.add(v)
 
     @property
     def dim(self) -> int:
-        return len(self._pivots)
+        return len(self._num)
 
     @property
-    def _rows(self) -> list[dict]:
-        """The reduced echelon rows _num / _den, cached until the next add."""
+    def _rows(self) -> dict:
+        """The reduced echelon rows _num / _den in pivot order, cached."""
         if self._rref is None:
-            d = self._den
-            self._rref = self._num if d == 1 else [
-                {j: _ratio(v, d) for j, v in row.items()} for row in self._num]
+            num, d = self._num, self._den
+            self._rref = {pc: num[pc] if d == 1 else
+                          {j: _ratio(v, d) for j, v in num[pc].items()}
+                          for pc in sorted(num)}
         return self._rref
 
     def _reduce(self, vec) -> tuple[dict, int, dict]:
         """(x, scale, w): vec as a sparse dict x, the lcm of its denominators,
-        and w = _den * y - sum of y[pc] * row for y = scale * x.  The rows are
-        fully reduced, so vec is in the space exactly when w is empty, and
-        its coordinates in basis() are then x at the pivots."""
+        and w = _den * y - sum of y[pc] * _num[pc] over the pivots pc in y's
+        support, for y = scale * x.  The rows are fully reduced, so vec is in
+        the space exactly when w is empty, and its coordinates in basis() are
+        then x at the pivots."""
         F = self.field
         if isinstance(vec, dict):
             if vec and (min(vec) < 0 or max(vec) >= self.ambient):
@@ -386,9 +386,10 @@ class RowSpace:
             y = {j: v.numerator * (scale // v.denominator) for j, v in x.items()}
         d = self._den
         w = dict(y) if d == 1 else {j: d * v for j, v in y.items()}
-        for pc, row in zip(self._pivots, self._num):
-            c = y.get(pc)
-            if c:
+        num = self._num
+        for j, c in y.items():
+            row = num.get(j)
+            if row is not None:
                 _submul(w, c, row)
         if p:
             w = {j: r for j, v in w.items() if (r := v % p)}
@@ -410,7 +411,8 @@ class RowSpace:
         w = self._reduce(vec)[2]
         if not w:
             return False
-        p = self.field.characteristic
+        F = self.field
+        p = F.characteristic
         pc = min(w)
         a = w[pc]
         if p:
@@ -421,11 +423,15 @@ class RowSpace:
             w = {j: -v for j, v in w.items()}
             a = -a
         # row <- (a * row - row[pc] * w) / d clears pc and makes a the pivot
-        # entry of every row; the division is exact
-        d = self._den
-        for i, row in enumerate(self._num):
+        # entry of every row; the division is exact.  Over F_p a = d = 1: one
+        # axpy, on a copy, as a dict updated in place keeps its grown table
+        d, num = self._den, self._num
+        for q, row in num.items():
             c = row.get(pc)
             if c is None and a == d:
+                continue
+            if p:
+                num[q] = axpy(F, dict(row), p - c, w)
                 continue
             if a != 1:
                 row = {j: a * v for j, v in row.items()}
@@ -433,12 +439,8 @@ class RowSpace:
                 _submul(row, c, w)
             if d != 1:
                 row = {j: v // d for j, v in row.items()}
-            if p:
-                row = {j: r for j, v in row.items() if (r := v % p)}
-            self._num[i] = row
-        at = bisect_left(self._pivots, pc)
-        self._num.insert(at, w)
-        self._pivots.insert(at, pc)
+            num[q] = row
+        num[pc] = w
         self._den = a
         self._rref = None
         return True
@@ -448,7 +450,7 @@ class RowSpace:
         returns self.  images maps a sparse vector to the vectors some
         family of linear maps sends it to, so closing a basis suffices."""
         # add rewrites the kept rows, so the queue holds copies
-        queue = [dict(row) for row in self._num]
+        queue = [dict(row) for _, row in sorted(self._num.items())]
         while queue:
             for w in images(queue.pop()):
                 if self.add(w):
@@ -457,13 +459,13 @@ class RowSpace:
 
     def closed_under(self, images) -> bool:
         """Does the space hold images(v) for every v in it?"""
-        return all(self.contains(w) for row in self._num for w in images(row))
+        return all(self.contains(w) for row in self._num.values() for w in images(row))
 
     def basis(self) -> list[tuple]:
-        return [dense_vec(self.field, self.ambient, row) for row in self._rows]
+        return [dense_vec(self.field, self.ambient, row) for row in self._rows.values()]
 
     def pivots(self) -> list[int]:
-        return list(self._pivots)
+        return sorted(self._num)
 
     def coords(self, vec) -> tuple | None:
         """Coordinates of vec in basis(); None if vec is outside."""
@@ -471,13 +473,12 @@ class RowSpace:
         if w:
             return None
         zero = self.field.zero
-        return tuple(x.get(pc, zero) for pc in self._pivots)
+        return tuple(x.get(pc, zero) for pc in sorted(self._num))
 
 
 def span_basis(F: Field, vectors, ambient: int) -> list[tuple]:
     """Canonical reduced-echelon basis of the span of the given vectors."""
-    rs = RowSpace(F, ambient, vectors)
-    return rs.basis()
+    return RowSpace(F, ambient, vectors).basis()
 
 
 def intersect_spans(F: Field, basis_u: list[tuple], basis_w: list[tuple], ambient: int) -> list[tuple]:
@@ -488,6 +489,5 @@ def intersect_spans(F: Field, basis_u: list[tuple], basis_w: list[tuple], ambien
     zeros = (F.zero,) * ambient
     rs = RowSpace(F, 2 * ambient,
                   [tuple(u) * 2 for u in basis_u] + [tuple(w) + zeros for w in basis_w])
-    first = bisect_left(rs._pivots, ambient)
     return [dense_vec(F, ambient, {j - ambient: v for j, v in row.items()})
-            for row in rs._rows[first:]]
+            for pc, row in rs._rows.items() if pc >= ambient]

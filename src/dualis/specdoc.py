@@ -26,8 +26,9 @@ refs UnresolvedReference; malformed JSON SpecParseError, with line and column
 unless it nests too deep or holds too long an integer, as do a malformed
 block (a table index of Infinity too), a dim that is not a nonnegative
 integer or is above MAX_SPEC_DIM, a poset with more than MAX_SPEC_DIM
-elements, relation pairs or intervals, a bad template name or ray count, a
-semiperfect radius past combinat.check_radius's cap, a non-list "refs", a
+elements, relation pairs or intervals, a functional with more terms, a
+linrec rank_bound above MAX_LINREC_BOUND, a bad template name or ray count,
+a semiperfect radius past combinat.check_radius's cap, a non-list "refs", a
 non-object "params", a param key outside the check's schema and a param
 value of the wrong type.
 """
@@ -109,6 +110,7 @@ class SpecDocument:
 
 
 MAX_SPEC_DIM = 1024  # checked before any table is built; validation grows with dim
+MAX_LINREC_BOUND = 64  # linrec over Q takes about 0.3 s on random terms at this bound
 
 
 def _field_of(block: dict):
@@ -175,8 +177,8 @@ def _build_comodule(block, doc_objects):
 def _build_functional(block, doc_objects):
     F = _field_of(block)
     seq = _read_scalars(F, block["sequence"])
-    if not seq:
-        raise SpecParseError("functional needs a nonempty sequence")
+    if not 0 < len(seq) <= MAX_SPEC_DIM:
+        raise SpecParseError(f"functional has {len(seq)} terms, not 1..{MAX_SPEC_DIM}")
     return SequenceFunctional(F, seq)
 
 
@@ -285,6 +287,9 @@ def parse_spec(text: str) -> SpecDocument:
                 check_radius(target, params["radius"])
             except ValidationError as e:
                 raise SpecParseError(f"check 'semiperfect' param 'radius': {e}") from e
+        if name == "linrec" and params["rank_bound"] > MAX_LINREC_BOUND:
+            raise SpecParseError(f"check 'linrec' param 'rank_bound': {params['rank_bound']} "
+                                 f"is outside 0..{MAX_LINREC_BOUND}")
         checks.append(Check(name, refs, params))
     return SpecDocument(objects, tuple(checks))
 

@@ -1,5 +1,6 @@
 """Algebra core: unitalization, embeddings, ideals, quotients, radical."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from dualis.algebra import (
     regular_matrix_embedding,
     unitalize,
     unitalize_morphism,
+    _nilpotent_squarings,
 )
 from dualis.coalgebra import _trusted
 from dualis.errors import NotTwoSided, UnsupportedCharacteristic, ValidationError
@@ -178,6 +180,32 @@ def test_radical_rejects_a_candidate_that_is_not_nilpotent(monkeypatch):
                         lambda self: [basis_vec(QQ, self.cols, i) for i in range(self.cols)])
     with pytest.raises(ValidationError, match="radical candidate is not nilpotent"):
         radical(upper_triangular_2x2())
+
+
+def truncated_powers(F, n):
+    """The non-unital algebra t, t^2, ..., t^n with t^(n+1) = 0; b_i = t^(i+1)."""
+    mult = {(i, j): {i + j + 1: F.one} for i in range(n) for j in range(n - 1 - i)}
+    return FinAlgebra(F, n, mult)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 15, 16, 40])
+def test_radical_of_truncated_powers_is_everything(n):
+    # nilpotency index exactly n + 1 = dim + 1, the edge of the squaring
+    # certificate's bound: J^k != 0 for k = n must not be read as a failure
+    for F in (QQ, GF(101)):
+        A = truncated_powers(F, n)
+        basis = [basis_vec(F, n, i) for i in range(n)]
+        assert radical(A).basis == tuple(basis)
+        assert _nilpotent_squarings(A, basis) <= math.ceil(math.log2(n + 1))
+
+
+def test_nilpotency_certificate_rejects_a_nonzero_power_past_dim():
+    # in span{e, x} with e idempotent, ex = xe = x and x^2 = 0, span{x} is
+    # nilpotent and span{e} is not: e^k = e for every k
+    A = FinAlgebra(QQ, 2, {(0, 0): {0: F(1)}, (0, 1): {1: F(1)}, (1, 0): {1: F(1)}})
+    with pytest.raises(ValidationError, match="radical candidate is not nilpotent"):
+        _nilpotent_squarings(A, [basis_vec(QQ, 2, 0)])
+    assert _nilpotent_squarings(A, [basis_vec(QQ, 2, 1)]) == 1
 
 
 def test_radical_rejects_a_candidate_that_is_not_two_sided(monkeypatch):

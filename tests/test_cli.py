@@ -181,6 +181,14 @@ def _bad_input_cases():
                            "params": {"radius": radius, "bound": 10**12}}]}
         yield pytest.param(json.dumps(doc).encode(), ["run", "FILE"],
                            id=f"run-semiperfect-radius-{template}")
+    # a linrec rank_bound past specdoc.MAX_LINREC_BOUND, or a functional with
+    # more than MAX_SPEC_DIM terms; 1,202 terms at bound 600 ran past 20 s
+    for terms, bound in ((132, 65), (1202, 600), (1025, 8)):
+        doc = {"objects": {"s": {"type": "functional", "field": "q",
+                                 "sequence": [str(i * i % 97) for i in range(terms)]}},
+               "checks": [{"check": "linrec", "refs": ["s"], "params": {"rank_bound": bound}}]}
+        yield pytest.param(json.dumps(doc).encode(), ["run", "FILE"],
+                           id=f"run-linrec-{terms}-terms-bound-{bound}")
 
 
 @pytest.mark.parametrize("data, argv", list(_bad_input_cases()))

@@ -1,6 +1,8 @@
 """Finite dual through a truncation window: membership certificates, the
 delta factorization, coefficient functions, bialgebra duals, recurrences."""
 
+import random
+
 import pytest
 
 from dualis import algebra
@@ -269,6 +271,62 @@ def test_linrec_zero_sequence():
 def test_linrec_insufficient_data():
     with pytest.raises(InsufficientData):
         linrec_analyze(QQ, fib(10), 5)
+
+
+def _linrec_by_hankel_solves(F, seq, rank_bound):
+    """The search linrec_analyze replaced: for d = 1, 2, ..., solve the
+    Hankel system of the order-d recurrence over the whole sequence and
+    take the first d with a solution."""
+    seq = [F.from_int(v) if isinstance(v, int) else v for v in seq]
+    n = len(seq)
+    if n < 2 * rank_bound + 2:
+        raise InsufficientData(f"need at least {2 * rank_bound + 2} terms, have {n}")
+    if all(F.is_zero(v) for v in seq):
+        return LinRec(0, (F.one,))
+    for d in range(1, rank_bound + 1):
+        M = SparseMatrix.from_rows(F, [tuple(seq[m:m + d]) for m in range(n - d)], d)
+        sol = M.solve(tuple(seq[m + d] for m in range(n - d)))
+        if sol is not None:
+            return LinRec(d, tuple(F.neg(c) for c in sol) + (F.one,))
+    return NotWithinBound(rank_bound + 1, rank_bound)
+
+
+def _linrec_cases(rng):
+    """(sequence, rank_bound): recurrences of order 0..6, the same with one
+    term perturbed, all-zero sequences and impulses, each at length exactly
+    2 * bound + 2 or a few terms longer."""
+    for _ in range(150):
+        order, bound = rng.randrange(0, 7), rng.randrange(0, 9)
+        n = 2 * bound + 2 + rng.choice((0, 0, rng.randrange(1, 6)))
+        coeffs = [rng.randrange(-3, 4) for _ in range(order)]
+        seq = [rng.randrange(-3, 4) for _ in range(order)]
+        while len(seq) < n:
+            seq.append(sum(c * v for c, v in zip(coeffs, seq[-order:])) if order else 0)
+        seq = seq[:n]
+        yield seq, bound
+        bumped = list(seq)
+        bumped[rng.randrange(n)] += rng.randrange(1, 4)
+        yield bumped, bound
+        yield [0] * n, bound
+        at = rng.randrange(n)
+        yield [int(i == at) for i in range(n)], bound
+
+
+def test_linrec_matches_hankel_solves_seeded():
+    kinds = {"order": set(), "not_within": 0}
+    for F in (QQ, GF(2), GF(3), GF(101)):
+        rng = random.Random(f"linrec:{F.name()}")
+        for seq, bound in _linrec_cases(rng):
+            seq = [F.from_int(v) for v in seq]
+            want = _linrec_by_hankel_solves(F, seq, bound)
+            assert linrec_analyze(F, seq, bound) == want, (F, seq, bound)
+            if isinstance(want, LinRec):
+                kinds["order"].add(want.order)
+            else:
+                kinds["not_within"] += 1
+        with pytest.raises(InsufficientData):
+            linrec_analyze(F, [1] * 9, 4)
+    assert kinds["order"] >= set(range(7)) and kinds["not_within"] >= 50, kinds
 
 
 def test_functional_refuses_unknown_degree():

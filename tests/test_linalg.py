@@ -266,6 +266,42 @@ def test_rowspace_incremental_matches_batch():
                 assert tuple(acc) == v
 
 
+def test_sparse_vectors_in_a_wide_space_match_dense_gauss_jordan_seeded():
+    # 1-3 entry vectors in 40-64 columns, like the products a radical's
+    # powers and a closure feed elimination: reduction walks only their support
+    for field in (QQ, GF(2), GF(101)):
+        p = field.characteristic
+        norm = (lambda x: x % p) if p else Fraction
+        rng = random.Random(f"sparse-elimination:{field.name()}")
+
+        def sparse(n):
+            vec = {rng.randrange(n): rng.randrange(-5, 6) % p if p else
+                   Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+                   for _ in range(rng.randrange(1, 4))}
+            return {j: v for j, v in vec.items() if v != 0}
+
+        for _ in range(6):
+            n = rng.randrange(40, 65)
+            rs, dense = RowSpace(field, n), []
+            for count in (n // 2, n // 2 + rng.randrange(0, 20)):
+                while len(dense) < count:
+                    vec = sparse(n)
+                    before = rs.dim
+                    assert rs.add(vec) is (rs.dim > before)
+                    dense.append([vec.get(j, norm(0)) for j in range(n)])
+                red, pivots = _gauss_jordan(p, dense, n)
+                assert rs.pivots() == pivots, (field, dense)
+                assert rs.basis() == [tuple(r) for r in red], (field, dense)
+            for vec in [sparse(n) for _ in range(10)] + [{j: v for j, v in enumerate(red[0]) if v}]:
+                row = [vec.get(j, norm(0)) for j in range(n)]
+                residual = tuple(norm(x - sum(row[pc] * r[j] for pc, r in zip(pivots, red)))
+                                 for j, x in enumerate(row))
+                inside = not any(residual)
+                assert rs.residual(vec) == residual, (field, vec)
+                assert rs.contains(vec) is inside
+                assert rs.coords(vec) == (tuple(row[pc] for pc in pivots) if inside else None)
+
+
 def test_rowspace_rejects_vectors_outside_its_ambient_space():
     rs = RowSpace(QQ, 3, [(F(1), F(0), F(0))])
     outside = ({5: F(1)}, {-1: F(1)}, {3: F(1)}, (F(1), F(0)), (F(0),) * 4)

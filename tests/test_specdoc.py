@@ -5,7 +5,8 @@ import json
 import pytest
 
 from dualis.errors import SpecParseError, UnknownCheck, UnresolvedReference
-from dualis.specdoc import algebra_block, coalgebra_block, parse_spec
+from dualis.specdoc import (MAX_LINREC_BOUND, MAX_SPEC_DIM, algebra_block, coalgebra_block,
+                            parse_spec)
 from dualis.suite import run_document
 
 
@@ -197,6 +198,20 @@ def test_posets_are_capped_at_parse_time():
                            (2, [[0, 1]] * 1025, "1025 pairs")):
         with pytest.raises(SpecParseError, match=what):
             poset(n, pairs)
+
+
+def test_linrec_inputs_are_capped_at_parse_time():
+    def linrec(terms, bound):
+        seq = [str(i % 5) for i in range(terms)]
+        return parse_spec(doc_text({"s": {"type": "functional", "field": "q", "sequence": seq}},
+                                   [{"check": "linrec", "refs": ["s"],
+                                     "params": {"rank_bound": bound}}]))
+
+    assert linrec(MAX_SPEC_DIM, MAX_LINREC_BOUND).checks[0].params["rank_bound"] == 64
+    for terms, bound, what in ((130, MAX_LINREC_BOUND + 1, "rank_bound"),
+                               (MAX_SPEC_DIM + 1, 8, "1025 terms"), (0, 8, "0 terms")):
+        with pytest.raises(SpecParseError, match=what):
+            linrec(terms, bound)
 
 
 def test_check_params_are_typed_at_parse_time():

@@ -224,7 +224,7 @@ def test_one_round_closure_fails_c04(monkeypatch):
     # columns to reach the closure; the battery's seed-0 run must catch a
     # close() that stops after one
     def one_round(self, images):
-        for row in [dict(r) for r in self._num]:
+        for row in [dict(r) for r in self._num.values()]:
             for w in images(row):
                 self.add(w)
         return self
