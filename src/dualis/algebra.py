@@ -9,6 +9,7 @@ adjoining one is the job of unitalize.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 from .errors import (
     DimensionMismatch,
@@ -147,8 +148,10 @@ class FinAlgebra:
                                                sparse_vec(F, y, self.dim)))
 
 
+@lru_cache(maxsize=16)
 def matrix_algebra(F: Field, n: int) -> FinAlgebra:
-    """Full matrix algebra; basis unit e_{rc} sits at index r*n + c."""
+    """Full matrix algebra; basis unit e_{rc} sits at index r*n + c.  One
+    validated instance per (F, n) is shared, so no caller may change it."""
     mult = {}
     for r in range(n):
         for c in range(n):

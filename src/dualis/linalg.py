@@ -5,17 +5,19 @@ dicts, and every module works on them through one kernel: axpy, lincomb,
 dot, outer and bilinear sum and multiply, tensor_legs and regroup re-key,
 and prune cleans.  Matrices store only nonzero entries.  All elimination
 goes through RowSpace, which keeps the unique reduced row echelon form of
-the vectors added so far: spans grow one, intersections read one built on
-twice the columns (Zassenhaus), and SparseMatrix rank, kernel, solve and
-inverse read the one built from their rows.  A row's pivot is its first
-nonzero entry once the earlier pivots are cleared, so every result is
-deterministic; there are no magnitude-based choices to make in exact
-arithmetic.  Rows are keyed by pivot and fully reduced: reducing a vector
-walks its support and takes off its entry at each pivot times that row.
+the vectors added so far: spans grow one, intersections read one grown
+from one span's residuals mod the other, and SparseMatrix rank, kernel,
+solve and inverse read the one built from their rows.  A row's pivot is
+its first nonzero entry once the earlier pivots are cleared, so every
+result is deterministic; there are no magnitude-based choices to make in
+exact arithmetic.  Rows are keyed by pivot and fully reduced: reducing a
+vector walks its support and takes off its entry at each pivot times that
+row.
 
 Elimination is fraction-free: over Q a RowSpace keeps integer rows over one
-shared denominator and divides by it exactly (Bareiss), and over F_p the
-same loop runs on residues.  Fractions appear only when the form is read.
+shared denominator and divides by it exactly (Bareiss); over F_p it packs
+each row's residues into one integer and takes them mod p only when the
+row is read.  Fractions appear only when the form is read.
 
 RowSpace is also the one closure engine: ideals, subcoalgebras, one-sided
 coideals, subcomodules and submodules are spans closed under a family of
@@ -24,6 +26,7 @@ linear maps, which close grows and closed_under tests.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import lcm
@@ -295,12 +298,8 @@ class SparseMatrix:
         rs = RowSpace(F, 2 * n, rows)
         if rs.pivots()[:n] != list(range(n)):
             raise DimensionMismatch("matrix is singular")
-        ent = {}
-        for i, row in enumerate(rs._rows.values()):
-            for j, v in row.items():
-                if j >= n:
-                    ent[(i, j - n)] = v
-        return SparseMatrix(F, n, n, ent)
+        return SparseMatrix(F, n, n, {(i, j - n): v for i, row in enumerate(rs._rows.values())
+                                      for j, v in row.items() if j >= n})
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +307,7 @@ class SparseMatrix:
 
 def _submul(acc: dict, c: int, x: dict) -> None:
     """acc -= c * x in place on integers, dropping entries that become zero:
-    the one elimination step, over Q and (before reduction mod p) F_p."""
+    the one elimination step over Q."""
     for j, v in x.items():
         s = acc.get(j, 0) - c * v
         if s:
@@ -323,28 +322,43 @@ def _ratio(v: int, d: int):
     return Fraction(v, d) if r else q
 
 
+# memoryview codes of packed slot widths; a big-endian host unpacks by shifts
+_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"} if sys.byteorder == "little" else {}
+
+
 class RowSpace:
     """A subspace of F^n kept in reduced echelon form, grown one vector at a time.
 
     Vectors may be given as tuples of length n or as sparse {index: scalar}
     dicts with indices in range(n); anything else raises DimensionMismatch.
 
-    The form is kept fraction-free: integer rows _num[pc], keyed by pivot
-    column pc, over one positive integer _den, every pivot entry equal to
-    _den, so that _num[pc] / _den is the reduced echelon row with pivot pc.
-    Over Q, _den is |det| of the pivot block of the vectors that grew the
-    space, each scaled to integers by the lcm of its denominators, and each
-    entry of _num is a minor of those vectors (Cramer's rule).  Growing the
-    space multiplies the rows by the new pivot and divides by the old _den,
-    and that division is exact (Sylvester's identity; Bareiss, Math. Comp.
-    22, 1968).  Over F_p, _den stays 1: a new row is scaled by the inverse
-    of its pivot.
+    The form is kept fraction-free: rows _num[pc], keyed by pivot column pc,
+    over one positive integer _den, every pivot entry equal to _den, so that
+    _num[pc] / _den is the reduced echelon row with pivot pc.  Over Q a row
+    is a sparse integer dict and _den is |det| of the pivot block of the
+    vectors that grew the space, each scaled to integers by the lcm of its
+    denominators, and each entry of _num is a minor of those vectors
+    (Cramer's rule).  Growing the space multiplies the rows by the new pivot
+    and divides by the old _den, and that division is exact (Sylvester's
+    identity; Bareiss, Math. Comp. 22, 1968).
+
+    Over F_p _den is 1 and a row is one int, sum of row[j] * 2^(B*j), in
+    slots of B bits, B the least of 8, 16, 32, 64 or a multiple of 64 with
+    2^B > p + n*p^2 + n^2*p^3.  Reduction is delayed (Dumas, Giorgi and
+    Pernet, ACM TOMS 35, 2008): a new row, packed from residues below p with
+    pivot entry 1, is added p - c times to each row with residue c at its
+    pivot, so stored slots stay below p + n*p^2, and a reduction adds at
+    most n rows times coefficients below p.  So no slot carries into the
+    next, and slots are taken mod p only when a row is decoded.
     """
 
     def __init__(self, F: Field, ambient: int, vectors=()):
         self.field = F
         self.ambient = ambient
-        self._num: dict[int, dict] = {}   # pivot column -> fully reduced row
+        p = F.characteristic
+        need = (p + ambient * p * p + ambient ** 2 * p ** 3).bit_length()
+        self._slot = next((b for b in _CODES if b >= need), -(-need // 64) * 64) if p else 0
+        self._num: dict = {}   # pivot column -> fully reduced row
         self._den = 1
         self._rref: dict | None = None
         for v in vectors:
@@ -354,14 +368,33 @@ class RowSpace:
     def dim(self) -> int:
         return len(self._num)
 
+    def _pack(self, y: dict) -> int:
+        """The canonical residues y as one packed row."""
+        B, row = self._slot, 0
+        for j, v in y.items():
+            row |= v << B * j
+        return row
+
+    def _unpack(self, row: int) -> dict:
+        """A packed row as sparse canonical residues; to_bytes overflows if B was too small."""
+        B, p = self._slot, self.field.characteristic
+        raw = row.to_bytes(self.ambient * B // 8, sys.byteorder)
+        slots = (memoryview(raw).cast(_CODES[B]) if B in _CODES else
+                 [row >> B * j & (1 << B) - 1 for j in range(self.ambient)])
+        return {j: r for j, v in enumerate(slots) if (r := v % p)}
+
+    def _int_rows(self) -> dict:
+        """The rows _num as fresh sparse integer dicts, in pivot order."""
+        read = self._unpack if self._slot else dict
+        return {pc: read(self._num[pc]) for pc in sorted(self._num)}
+
     @property
     def _rows(self) -> dict:
         """The reduced echelon rows _num / _den in pivot order, cached."""
         if self._rref is None:
-            num, d = self._num, self._den
-            self._rref = {pc: num[pc] if d == 1 else
-                          {j: _ratio(v, d) for j, v in num[pc].items()}
-                          for pc in sorted(num)}
+            d = self._den
+            self._rref = {pc: row if d == 1 else {j: _ratio(v, d) for j, v in row.items()}
+                          for pc, row in self._int_rows().items()}
         return self._rref
 
     def _reduce(self, vec) -> tuple[dict, int, dict]:
@@ -379,20 +412,23 @@ class RowSpace:
             raise DimensionMismatch("vector length != ambient dimension")
         else:
             x = sparse_vec(F, vec)
+        num = self._num
         p = F.characteristic
+        if p:
+            # canonical residues first, so that no slot can borrow
+            y = {j: r for j, v in x.items() if (r := v % p)}
+            acc = sum((p - c) * num[j] for j, c in y.items() if j in num)
+            return x, 1, self._unpack(acc + self._pack(y)) if acc else y
         scale, y = 1, x
-        if not p and any(type(v) is not int for v in x.values()):
+        if any(type(v) is not int for v in x.values()):
             scale = lcm(*(v.denominator for v in x.values()))
             y = {j: v.numerator * (scale // v.denominator) for j, v in x.items()}
         d = self._den
         w = dict(y) if d == 1 else {j: d * v for j, v in y.items()}
-        num = self._num
         for j, c in y.items():
             row = num.get(j)
             if row is not None:
                 _submul(w, c, row)
-        if p:
-            w = {j: r for j, v in w.items() if (r := v % p)}
         return x, scale, w
 
     def contains(self, vec) -> bool:
@@ -408,30 +444,36 @@ class RowSpace:
 
     def add(self, vec) -> bool:
         """Insert vec; True if the dimension grew."""
-        w = self._reduce(vec)[2]
+        return self._insert(self._reduce(vec)[2])
+
+    def _insert(self, w: dict) -> bool:
+        """Make w, reduced as _reduce reduces, a row; False if it is empty."""
         if not w:
             return False
-        F = self.field
-        p = F.characteristic
+        p = self.field.characteristic
         pc = min(w)
         a = w[pc]
+        num = self._num
+        self._rref = None
         if p:
             inv = pow(a, -1, p)
-            w = {j: v * inv % p for j, v in w.items()}
-            a = 1
-        elif a < 0:
+            new = self._pack({j: v * inv % p for j, v in w.items()})
+            # only rows with a pivot left of pc can hold an entry at pc
+            shift, mask = self._slot * pc, (1 << self._slot) - 1
+            for q, row in num.items():
+                if q < pc and (c := (row >> shift & mask) % p):
+                    num[q] = row + (p - c) * new
+            num[pc] = new
+            return True
+        if a < 0:
             w = {j: -v for j, v in w.items()}
             a = -a
         # row <- (a * row - row[pc] * w) / d clears pc and makes a the pivot
-        # entry of every row; the division is exact.  Over F_p a = d = 1: one
-        # axpy, on a copy, as a dict updated in place keeps its grown table
-        d, num = self._den, self._num
+        # entry of every row; the division is exact
+        d = self._den
         for q, row in num.items():
             c = row.get(pc)
             if c is None and a == d:
-                continue
-            if p:
-                num[q] = axpy(F, dict(row), p - c, w)
                 continue
             if a != 1:
                 row = {j: a * v for j, v in row.items()}
@@ -442,15 +484,13 @@ class RowSpace:
             num[q] = row
         num[pc] = w
         self._den = a
-        self._rref = None
         return True
 
     def close(self, images) -> "RowSpace":
         """Grow to the smallest space holding images(v) for every v in it;
         returns self.  images maps a sparse vector to the vectors some
         family of linear maps sends it to, so closing a basis suffices."""
-        # add rewrites the kept rows, so the queue holds copies
-        queue = [dict(row) for _, row in sorted(self._num.items())]
+        queue = list(self._int_rows().values())
         while queue:
             for w in images(queue.pop()):
                 if self.add(w):
@@ -459,7 +499,7 @@ class RowSpace:
 
     def closed_under(self, images) -> bool:
         """Does the space hold images(v) for every v in it?"""
-        return all(self.contains(w) for row in self._num.values() for w in images(row))
+        return all(self.contains(w) for row in self._int_rows().values() for w in images(row))
 
     def basis(self) -> list[tuple]:
         return [dense_vec(self.field, self.ambient, row) for row in self._rows.values()]
@@ -482,12 +522,19 @@ def span_basis(F: Field, vectors, ambient: int) -> list[tuple]:
 
 
 def intersect_spans(F: Field, basis_u: list[tuple], basis_w: list[tuple], ambient: int) -> list[tuple]:
-    """Canonical basis of span(U) intersect span(W), by Zassenhaus: among the
-    reduced echelon rows of (u | u) for u in U and (w | 0) for w in W, those
-    with a pivot in the second half are (0 | b) for the reduced echelon
-    basis b of the intersection."""
-    zeros = (F.zero,) * ambient
-    rs = RowSpace(F, 2 * ambient,
-                  [tuple(u) * 2 for u in basis_u] + [tuple(w) + zeros for w in basis_w])
+    """Canonical basis of span(U) intersect span(W): the reduced echelon rows
+    of (u | 0) for u in U and (w | w) for w in W with a pivot past ambient
+    are (0 | b) for the reduced echelon basis b of the intersection.  U is
+    reduced apart and never rewritten.  Each w enters T as _den * (res(w) | w),
+    as one elimination would hold it, and T starts at U's _den, so dividing
+    by it is exact and T's entries stay minors of the inputs (Bareiss)."""
+    U = RowSpace(F, ambient, basis_u)
+    d = U._den
+    T = RowSpace(F, 2 * ambient)
+    T._den = d
+    for w in basis_w:
+        x, scale, res = U._reduce(w)
+        row = T._reduce({**res, **{ambient + j: d * scale * v for j, v in x.items()}})[2]
+        T._insert({j: v // d for j, v in row.items()} if d != 1 else row)
     return [dense_vec(F, ambient, {j - ambient: v for j, v in row.items()})
-            for pc, row in rs._rows.items() if pc >= ambient]
+            for pc, row in T._rows.items() if pc >= ambient]

@@ -64,6 +64,16 @@ def test_unit_validation():
         FinAlgebra(QQ, 1, {}, (F(1),))  # null product, so nothing is a unit
 
 
+def test_matrix_algebra_is_validated_once_per_field_and_size():
+    for F in (QQ, GF(2), GF(101)):
+        for n in (1, 2, 3):
+            M = matrix_algebra(F, n)
+            assert matrix_algebra(F, n) is M
+            fresh = matrix_algebra.__wrapped__(F, n)
+            assert fresh is not M and fresh == M
+            assert FinAlgebra(F, M.dim, M.mult, M.unit) == M
+
+
 def test_matrix_algebra_products():
     M = matrix_algebra(QQ, 2)
     e01 = basis_vec(QQ, 4, 0 * 2 + 1)

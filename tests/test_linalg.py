@@ -12,7 +12,9 @@ from dualis.linalg import (
     RowSpace,
     SparseMatrix,
     axpy,
+    basis_vec,
     bilinear,
+    dense_vec,
     dot,
     intersect_spans,
     lincomb,
@@ -530,6 +532,162 @@ def test_intersect_spans():
     got = intersect_spans(QQ, u, w, 3)
     assert got == [(F(0), F(1), F(0))]
     assert intersect_spans(QQ, u, [], 3) == []
+
+
+# ---------------------------------------------------------------------------
+# packed rows over F_p against a plain dict Gauss-Jordan
+
+_PACKED_PRIMES = (2, 3, 101, 2**61 - 1)
+
+
+def _gauss_jordan_mod(p, vectors):
+    """{pivot: row} of the reduced echelon form mod p, rows as dicts."""
+    rows: dict = {}
+    for vec in vectors:
+        w = {j: r for j, v in vec.items() if (r := v % p)}
+        for pc, row in rows.items():
+            c = w.get(pc)
+            if c:
+                for j, v in row.items():
+                    s = (w.get(j, 0) - c * v) % p
+                    if s:
+                        w[j] = s
+                    else:
+                        w.pop(j, None)
+        if not w:
+            continue
+        pc = min(w)
+        inv = pow(w[pc], -1, p)
+        w = {j: v * inv % p for j, v in w.items()}
+        for q, row in rows.items():
+            c = row.get(pc)
+            if c:
+                for j, v in w.items():
+                    s = (row.get(j, 0) - c * v) % p
+                    if s:
+                        row[j] = s
+                    else:
+                        row.pop(j, None)
+        rows[pc] = w
+    return dict(sorted(rows.items()))
+
+
+def _rand_fp_vec(rng, p, n, density):
+    """A vector mod p as a dict whose values are any integers, negative and
+    >= p included; some are multiples of p, zero mod p."""
+    return {j: rng.randrange(p) + p * rng.randint(-2, 2) for j in range(n)
+            if rng.random() < density}
+
+
+def test_packed_rowspace_matches_dict_gauss_jordan():
+    rng = random.Random(20240)
+    for p in _PACKED_PRIMES:
+        Fp = GF(p)
+        for n in (1, 2, 3, 7, 8, 9, 31, 64, 65, 130, 200):
+            for density in (1.0, 0.05):
+                count = min(n + 3, 30)
+                vecs = [_rand_fp_vec(rng, p, n, density) for _ in range(count)]
+                # repeat some vectors and their sums, so that some adds fail
+                vecs += [vecs[0], {j: v + vecs[1].get(j, 0) for j, v in vecs[0].items()}]
+                want = _gauss_jordan_mod(p, vecs)
+                rs = RowSpace(Fp, n)
+                grew = [rs.add(v) for v in vecs]
+                assert sum(grew) == len(want) == rs.dim, (p, n, density)
+                assert rs._rows == want, (p, n, density)
+                assert rs.pivots() == list(want)
+                assert rs.basis() == [tuple(row.get(j, 0) for j in range(n))
+                                      for row in want.values()]
+                # tuples with non-canonical entries name the same vectors
+                assert RowSpace(Fp, n, [tuple(v.get(j, 0) for j in range(n))
+                                        for v in vecs])._rows == want
+                for probe in vecs[:3] + [_rand_fp_vec(rng, p, n, density) for _ in range(3)]:
+                    res = {j: v % p for j, v in probe.items() if v % p}
+                    for pc, row in want.items():
+                        c = res.get(pc)
+                        if c:
+                            for j, v in row.items():
+                                res[j] = (res.get(j, 0) - c * v) % p
+                    res = {j: v for j, v in res.items() if v}
+                    assert rs.residual(probe) == tuple(res.get(j, 0) for j in range(n))
+                    assert rs.contains(probe) == (not res)
+                    coords = rs.coords(probe)
+                    assert (coords is None) == bool(res)
+                    if coords is not None:
+                        assert [c % p for c in coords] == [probe.get(pc, 0) % p for pc in want]
+
+
+def test_packed_slots_hold_the_largest_growth():
+    # one row updated ambient - 2 times with residue c = 1 at each new pivot
+    # and p - 1 in its last slot, then a reduction through every row with
+    # coefficient p - 1; a slot that outgrew its width would carry into the
+    # next or raise OverflowError when the row is decoded
+    p = 2**61 - 1
+    Fp = GF(p)
+    for n in (3, 10, 200):
+        rs = RowSpace(Fp, n, [{j: 1 for j in range(n)}])
+        for k in range(1, n - 1):
+            assert rs.add({k: 1, n - 1: p - 1})
+        want = _gauss_jordan_mod(p, [{j: 1 for j in range(n)}]
+                                 + [{k: 1, n - 1: p - 1} for k in range(1, n - 1)])
+        assert rs._rows == want
+        probe = {j: 1 for j in range(n - 1)}
+        assert not rs.contains(probe)
+        # row 0 is e_0 + (n - 1) e_{n-1}, row k is e_k - e_{n-1}
+        assert rs.residual(probe) == (0,) * (n - 1) + (p - 1,)
+        assert rs.add({n - 1: p + 5})
+        assert rs.basis() == [basis_vec(Fp, n, i) for i in range(n)]
+        assert rs.coords(probe) == (1,) * (n - 1) + (0,)
+
+
+# ---------------------------------------------------------------------------
+# intersect_spans against the Zassenhaus construction it replaced
+
+def _zassenhaus(field, basis_u, basis_w, ambient):
+    """Among the reduced echelon rows of (u | u) for u in U and (w | 0) for
+    w in W, those with a pivot in the second half are (0 | b) for the
+    reduced echelon basis b of the intersection."""
+    zeros = (field.zero,) * ambient
+    rs = RowSpace(field, 2 * ambient,
+                  [tuple(u) * 2 for u in basis_u] + [tuple(w) + zeros for w in basis_w])
+    return [dense_vec(field, ambient, {j - ambient: v for j, v in row.items()})
+            for pc, row in rs._rows.items() if pc >= ambient]
+
+
+def _rand_vec(rng, field, n, density=0.6):
+    if field.characteristic:
+        return tuple(rng.randrange(field.characteristic) if rng.random() < density else 0
+                     for _ in range(n))
+    return tuple(_q(Fraction(rng.randint(-9, 9), rng.randint(1, 4))) if rng.random() < density
+                 else 0 for _ in range(n))
+
+
+def test_intersect_spans_matches_zassenhaus():
+    rng = random.Random(7)
+    seen = {"meet": 0, "disjoint": 0}
+    for field in (QQ, GF(101)):
+        for n in (1, 2, 5, 12, 30):
+            for _ in range(6):
+                a, b = rng.randint(0, n + 1), rng.randint(0, n + 1)
+                U = [_rand_vec(rng, field, n) for _ in range(a)]
+                W = [_rand_vec(rng, field, n) for _ in range(b)]
+                cases = [(U, W), (U, []), ([], W), ([], []),
+                         ([basis_vec(field, n, i) for i in range(n)], W)]
+                if U and W:
+                    # dependent inputs: repeats, zero vectors, W built from U
+                    shared = [tuple(field.add(x, y) for x, y in zip(U[0], W[-1]))]
+                    cases.append((U + U[:1] + [(0,) * n], W + shared + W[:1]))
+                    cases.append((U, U[::-1] + W))
+                for u, w in cases:
+                    got = intersect_spans(field, u, w, n)
+                    assert got == _zassenhaus(field, u, w, n), (field, n, u, w)
+                    seen["meet" if got else "disjoint"] += 1
+        bad = (0,) * 3
+        for u, w in (([bad], [bad[:2]]), ([bad[:2]], []), ([], [bad[:2]]), ([bad], [bad + (0,)])):
+            with pytest.raises(DimensionMismatch):
+                _zassenhaus(field, u, w, 3)
+            with pytest.raises(DimensionMismatch):
+                intersect_spans(field, u, w, 3)
+    assert min(seen.values()) >= 20, seen
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from time import perf_counter
 
 import pytest
 
-from dualis import linalg, suite
+from dualis import algebra, linalg, randgen, suite
 from dualis.errors import DualisError
 from dualis.fields import field_from_name
 from dualis.suite import (
@@ -224,7 +224,7 @@ def test_one_round_closure_fails_c04(monkeypatch):
     # columns to reach the closure; the battery's seed-0 run must catch a
     # close() that stops after one
     def one_round(self, images):
-        for row in [dict(r) for r in self._num.values()]:
+        for row in list(self._int_rows().values()):
             for w in images(row):
                 self.add(w)
         return self
@@ -235,10 +235,31 @@ def test_one_round_closure_fails_c04(monkeypatch):
         for name, fn in CRITERIA])
     result = builtin_suite("paper-theorems", seed=0).checks[3]
     assert result.name == "generated-closures"
-    assert result.verdict != "pass"
+    # the first short closure is caught by subcoalgebra_on_span's
+    # certificate, before the oracle compares dimensions
+    assert result.verdict == "error"
+    assert result.details == {"message": "ValidationError: span is not a subcoalgebra"}
     assert {"trial", "field", "key"} <= set(result.replay)
     with pytest.raises(Exception, match=result.details["message"].split(": ")[-1]):
         replay_trial(result.replay)
+
+
+def test_shared_matrix_algebras_survive_a_battery(monkeypatch):
+    # matrix_algebra hands every caller one shared instance per (F, n), so a
+    # caller that changed a table would change it for every later caller
+    cached = algebra.matrix_algebra
+    seen = {}
+
+    def spy(F, n):
+        seen[(F, n)] = cached(F, n)
+        return seen[(F, n)]
+
+    for module in (algebra, randgen):
+        monkeypatch.setattr(module, "matrix_algebra", spy)
+    assert builtin_suite("paper-theorems", seed=0).passed
+    assert len(seen) >= 5, sorted(seen)
+    for (F, n), M in seen.items():
+        assert M == cached.__wrapped__(F, n), (F, n)
 
 
 _FIELDS = {"FIELDS", "fields"}
