@@ -57,9 +57,11 @@ def _trusted(cls, *values):
     coideals; complete_primitive_idempotents or verify_family certifies the
     family.  Each site's docstring says "Trusted (i)" or "Trusted (ii)",
     and a tier-1 test fails unless every function calling _trusted is named
-    above.  Constructors that take outside input (comatrix, matrix_algebra,
-    unitalize, counitalize, path_coalgebra, incidence_coalgebra,
-    SubspaceIdeal, spec parsing) always validate, and no structure is built
+    above.  Constructors that take outside input (matrix_algebra,
+    truncated_poly_algebra, unitalize, counitalize, path_coalgebra,
+    incidence_coalgebra, SubspaceIdeal, spec parsing) always validate;
+    comatrix and divided_power_coalgebra validate through matrix_algebra and
+    truncated_poly_algebra, as their transposes (i).  No structure is built
     that nothing reads.
     """
     obj = object.__new__(cls)

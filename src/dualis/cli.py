@@ -29,8 +29,7 @@ from .coalgebra import counitalize, dual_algebra, dual_coalgebra
 from .combinat import make_template, semiperfect_check
 from .errors import DualisError, SpecParseError, UnknownCheck, UnresolvedReference
 from .fields import field_from_name
-from .reflexivity import left_coreflexive_check
-from .specdoc import algebra_block, coalgebra_block, parse_spec
+from .specdoc import CHECKS, algebra_block, coalgebra_block, parse_spec
 from .suite import RandomKnobs, SuiteKnobs, builtin_suite, run_document
 
 
@@ -157,7 +156,7 @@ _TRANSFORMS = {
     "counitalize": (("coalgebra",), lambda C: coalgebra_block(counitalize(C)[0])),
 }
 _OBJECT_KINDS = {**{verb: kinds for verb, (kinds, _) in _TRANSFORMS.items()},
-                 "coreflexive": ("coalgebra",)}
+                 "coreflexive": (CHECKS["coreflexive"][0],)}
 
 
 def _cmd_transform(args) -> int:
@@ -172,17 +171,14 @@ def _cmd_transform(args) -> int:
 
 def _cmd_coreflexive(args) -> int:
     C = _load_doc(args.spec).resolve(args.object_name, _OBJECT_KINDS["coreflexive"])
-    rep = left_coreflexive_check(C)
-    out = {"bijective": rep.bijective, "kernel_rank": rep.kernel_rank,
-           "source_dim": rep.source_dim, "target_dim": rep.target_dim}
+    ok, out = CHECKS["coreflexive"][1]((C,), {}, None)
     if args.json:
         print(json.dumps(out, sort_keys=True, separators=(",", ":")))
     else:
-        verdict = "PASS" if rep.bijective else "FAIL"
-        print(f"{verdict} coreflexive {args.object_name}: "
-              f"kernel rank {rep.kernel_rank}, "
-              f"dims {rep.source_dim} -> {rep.target_dim}")
-    return 0 if rep.bijective else 1
+        print(f"{'PASS' if ok else 'FAIL'} coreflexive {args.object_name}: "
+              f"kernel rank {out['kernel_rank']}, "
+              f"dims {out['source_dim']} -> {out['target_dim']}")
+    return 0 if ok else 1
 
 
 def _cmd_semiperfect(args) -> int:

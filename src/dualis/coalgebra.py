@@ -19,6 +19,7 @@ from .algebra import (
     FinAlgebra,
     _Map,
     _trusted,
+    matrix_algebra,
     radical,
     regular_matrix_embedding,
     unitalize,
@@ -179,17 +180,18 @@ def dual_unitalization_iso(C: FinCoalgebra) -> AlgebraMorphism:
 
 
 # ---------------------------------------------------------------------------
-# comatrix coalgebras
+# comatrix and grouplike coalgebras
 
 def comatrix(F: Field, n: int) -> FinCoalgebra:
-    """Matrix-unit coalgebra: delta(e_ij) = sum_k e_ik (x) e_kj, eps = [i == j]."""
-    comult = {}
-    counit = [F.zero] * (n * n)
-    for i in range(n):
-        for j in range(n):
-            comult[i * n + j] = {(i * n + k, k * n + j): F.one for k in range(n)}
-        counit[i * n + i] = F.one
-    return FinCoalgebra(F, n * n, comult, tuple(counit))
+    """Matrix-unit coalgebra: delta(e_ij) = sum_k e_ik (x) e_kj, eps = [i == j].
+    The transpose of matrix_algebra(F, n), so it is validated once per (F, n)."""
+    return dual_coalgebra(matrix_algebra(F, n))
+
+
+def grouplike_coalgebra(F: Field, n: int) -> FinCoalgebra:
+    """delta(g_k) = g_k (x) g_k and eps(g_k) = 1 on every basis element."""
+    comult = {k: {(k, k): F.one} for k in range(n)}
+    return FinCoalgebra(F, n, comult, tuple([F.one] * n))
 
 
 def comatrix_cover(C: FinCoalgebra) -> CoalgebraMorphism:

@@ -31,6 +31,7 @@ from .coalgebra import (
     dual_algebra,
     dual_coalgebra,
     dual_unitalization_iso,
+    grouplike_coalgebra,
 )
 from .errors import (
     DimensionMismatch,
@@ -480,10 +481,8 @@ def group_bialgebra(F: Field, table, inverses) -> FinBialgebra:
         raise ValidationError("Cayley table has no identity element")
     unit[e] = F.one
     A = FinAlgebra(F, n, mult, tuple(unit))
-    comult = {i: {(i, i): F.one} for i in range(n)}
-    C = FinCoalgebra(F, n, comult, tuple([F.one] * n))
     S = SparseMatrix(F, n, n, {(inverses[i], i): F.one for i in range(n)})
-    return FinBialgebra(A, C, S)
+    return FinBialgebra(A, grouplike_coalgebra(F, n), S)
 
 
 # ---------------------------------------------------------------------------

@@ -508,12 +508,13 @@ class RowSpace:
         return sorted(self._num)
 
     def coords(self, vec) -> tuple | None:
-        """Coordinates of vec in basis(); None if vec is outside."""
+        """Canonical coordinates of vec in basis(); None if vec is outside."""
         x, _, w = self._reduce(vec)
         if w:
             return None
-        zero = self.field.zero
-        return tuple(x.get(pc, zero) for pc in sorted(self._num))
+        F = self.field
+        x = axpy(F, {}, F.one, x)
+        return tuple(x.get(pc, F.zero) for pc in sorted(self._num))
 
 
 def span_basis(F: Field, vectors, ambient: int) -> list[tuple]:

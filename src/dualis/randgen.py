@@ -13,7 +13,7 @@ from random import Random
 
 from .algebra import AlgebraMorphism, FinAlgebra, _trusted, matrix_algebra
 from .coalgebra import (CoalgebraMorphism, FinCoalgebra, comatrix, counitalize, dual_algebra,
-                        dual_coalgebra)
+                        dual_coalgebra, grouplike_coalgebra)
 from .combinat import Poset, Quiver, path_coalgebra, paths_by_length, transitive_closure
 from .comodule import FinComodule, ModuleMorphism, comodule_to_dual_module
 from .errors import ValidationError
@@ -75,30 +75,6 @@ def _conjugate(A: FinAlgebra, P: SparseMatrix, Pinv: SparseMatrix) -> FinAlgebra
     return B
 
 
-def divided_power_coalgebra(F: Field, n: int, counital: bool = True) -> FinCoalgebra:
-    """delta(c_k) = sum of c_i (x) c_j over i+j=k; dropping c_0 loses the counit."""
-    lo = 0 if counital else 1
-    dim = n - lo + 1
-    comult = {}
-    for k in range(lo, n + 1):
-        terms = {}
-        for i in range(lo, k - lo + 1):
-            j = k - i
-            if lo <= j <= n:
-                terms[(i - lo, j - lo)] = F.one
-        if terms:
-            comult[k - lo] = terms
-    counit = None
-    if counital:
-        counit = tuple(F.one if k == 0 else F.zero for k in range(dim))
-    return FinCoalgebra(F, dim, comult, counit)
-
-
-def grouplike_coalgebra(F: Field, n: int) -> FinCoalgebra:
-    comult = {k: {(k, k): F.one} for k in range(n)}
-    return FinCoalgebra(F, n, comult, tuple([F.one] * n))
-
-
 def direct_sum_coalgebra(C1: FinCoalgebra, C2: FinCoalgebra) -> FinCoalgebra:
     """Trusted (i): the transpose of the direct sum of the dual algebras,
     which FinAlgebra validates."""
@@ -134,6 +110,12 @@ def truncated_poly_algebra(F: Field, n: int, unital: bool = True) -> FinAlgebra:
     return FinAlgebra(F, dim, mult, unit)
 
 
+def divided_power_coalgebra(F: Field, n: int, counital: bool = True) -> FinCoalgebra:
+    """delta(c_k) = sum of c_i (x) c_j over i+j=k; dropping c_0 loses the
+    counit.  The transpose of truncated_poly_algebra(F, n, counital)."""
+    return dual_coalgebra(truncated_poly_algebra(F, n, unital=counital))
+
+
 def _counital_block(F: Field, rng: Random, dim: int) -> FinCoalgebra:
     kind = rng.randrange(4)
     if kind == 0:
@@ -164,10 +146,7 @@ def rand_coalgebra(F: Field, rng: Random, max_dim: int = 5,
         for p in parts[1:]:
             C = direct_sum_coalgebra(C, p)
     else:
-        if dim == 1:
-            C = FinCoalgebra(F, 1, {}, None)
-        else:
-            C = divided_power_coalgebra(F, dim, counital=False)
+        C = divided_power_coalgebra(F, dim, counital=False)
     P = rand_invertible(F, rng, C.dim)
     D, _ = conjugate_coalgebra(C, P)
     return D

@@ -29,6 +29,7 @@ from .errors import (
     NotLeftCoreflexive,
     ValidationError,
 )
+from .finite_dual import bialgebra_dual
 from .idempotents import complete_primitive_idempotents, verify_family
 from .linalg import RowSpace, SparseMatrix, dense_vec, dot, lincomb, sparse_vec, tensor_legs
 
@@ -201,8 +202,6 @@ def hopf_selfdual_check(H) -> dict:
     evaluation is a bijective coalgebra morphism, and that the injective
     blocks of the underlying coalgebra cover it exactly.
     """
-    from .finite_dual import bialgebra_dual
-
     double = bialgebra_dual(bialgebra_dual(H))
     if double.algebra != H.algebra:
         raise ValidationError("double dual algebra differs")

@@ -63,6 +63,7 @@ from .errors import (
 from .fields import field_from_name
 from .finite_dual import (
     LinRec,
+    group_bialgebra,
     linrec_analyze,
     membership_bounded,
     polynomial_algebra,
@@ -110,7 +111,7 @@ class SpecDocument:
 
 
 MAX_SPEC_DIM = 1024  # checked before any table is built; validation grows with dim
-MAX_LINREC_BOUND = 64  # linrec over Q takes about 0.3 s on random terms at this bound
+MAX_LINREC_BOUND = 64  # caps the order, not the time: over Q that grows with the terms' digits
 
 
 def _field_of(block: dict):
@@ -213,8 +214,6 @@ def _build_poset(block, doc_objects):
 
 
 def _build_bialgebra(block, doc_objects):
-    from .finite_dual import group_bialgebra
-
     F = _field_of(block)
     cayley = [[int(v) for v in row] for row in block["cayley"]]
     inverses = [int(v) for v in block["inverses"]]

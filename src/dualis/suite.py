@@ -79,6 +79,7 @@ from .reflexivity import (
     semiperfect_iff_injective_harness,
 )
 from .report import CheckResult, Report
+from .specdoc import run_check
 
 
 class CriterionFailure(Exception):
@@ -579,8 +580,6 @@ def builtin_suite(name: str, seed: int = 0, knobs=None) -> Report:
 
 def run_document(doc, seed: int = 0) -> Report:
     """Execute every check of a parsed spec document."""
-    from .specdoc import run_check
-
     items = [(check.name,
               (lambda c: lambda rng: run_check(doc, c, rng))(check),
               {"refs": list(check.refs), "params": dict(check.params)})

@@ -14,7 +14,7 @@ from random import Random
 import pytest
 
 from dualis import coalgebra
-from dualis.algebra import unitalize
+from dualis.algebra import matrix_algebra, unitalize
 from dualis.coalgebra import (
     CoalgebraMorphism,
     FinCoalgebra,
@@ -26,11 +26,13 @@ from dualis.coalgebra import (
     counitalize,
     dual_algebra,
     dual_unitalization_iso,
+    grouplike_coalgebra,
     subcoalgebra_generated,
     subcoalgebra_on_span,
 )
 from dualis.errors import ValidationError
 from dualis.fields import GF, QQ
+from dualis.finite_dual import group_bialgebra
 from dualis.linalg import SparseMatrix, basis_vec
 from dualis.randgen import divided_power_coalgebra, rand_coalgebra
 
@@ -155,6 +157,60 @@ def test_comatrix2_structure():
     B = dual_algebra(M)
     assert B.mult.get((1, 2), {}) == {0: F.one}
     assert B.mult.get((2, 1), {}) == {3: F.one}
+
+
+# The textbook tables written out on the coalgebra side, as references for
+# the builders, which transpose the matching algebras instead.
+
+def _comatrix_table(F, n):
+    """delta(e_ij) = sum_k e_ik (x) e_kj and eps(e_ij) = [i == j], e_ij at i*n + j."""
+    comult = {i * n + j: {(i * n + k, k * n + j): F.one for k in range(n)}
+              for i in range(n) for j in range(n)}
+    counit = tuple(F.one if i == j else F.zero for i in range(n) for j in range(n))
+    return n * n, comult, counit
+
+
+def _divided_power_table(F, n, counital):
+    """delta(c_k) = sum of c_i (x) c_j over i + j = k, on c_0..c_n or c_1..c_n."""
+    lo = 0 if counital else 1
+    comult = {k - lo: {(i - lo, k - i - lo): F.one for i in range(lo, k - lo + 1)}
+              for k in range(2 * lo, n + 1)}
+    counit = tuple(F.one if k == 0 else F.zero for k in range(n + 1)) if counital else None
+    return n - lo + 1, comult, counit
+
+
+def _grouplike_table(F, n):
+    return n, {k: {(k, k): F.one} for k in range(n)}, tuple([F.one] * n)
+
+
+@pytest.mark.parametrize("F", [QQ, GF(2), GF(101)], ids=["q", "fp2", "fp101"])
+def test_textbook_coalgebras_match_their_coalgebra_side_tables(F):
+    for n in range(6):
+        cases = [(comatrix(F, n), _comatrix_table(F, n)),
+                 (grouplike_coalgebra(F, n), _grouplike_table(F, n))]
+        cases += [(divided_power_coalgebra(F, n, counital), _divided_power_table(F, n, counital))
+                  for counital in (True, False)]
+        if n:
+            cyclic = [[(i + j) % n for j in range(n)] for i in range(n)]
+            H = group_bialgebra(F, cyclic, [-i % n for i in range(n)])
+            cases.append((H.coalgebra, _grouplike_table(F, n)))
+        for built, table in cases:
+            want = FinCoalgebra(F, *table)
+            assert (built.dim, built.comult, built.counit) == (want.dim, want.comult, want.counit)
+
+
+def test_comatrix_tables_are_not_the_shared_matrix_algebras():
+    # comatrix transposes the one cached matrix_algebra instance; changing
+    # its tables must leave that instance, and the next comatrix, intact
+    for F in (QQ, GF(101)):
+        M = matrix_algebra(F, 2)
+        mult, unit = {ij: dict(t) for ij, t in M.mult.items()}, M.unit
+        C = comatrix(F, 2)
+        for terms in C.comult.values():
+            terms[(0, 0)] = F.from_int(5)
+        C.comult[9] = {}
+        assert matrix_algebra(F, 2) is M and M.mult == mult and M.unit == unit
+        assert comatrix(F, 2) == FinCoalgebra(F, *_comatrix_table(F, 2))
 
 
 def test_comatrix_cover_pointed():

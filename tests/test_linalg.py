@@ -613,7 +613,7 @@ def test_packed_rowspace_matches_dict_gauss_jordan():
                     coords = rs.coords(probe)
                     assert (coords is None) == bool(res)
                     if coords is not None:
-                        assert [c % p for c in coords] == [probe.get(pc, 0) % p for pc in want]
+                        assert list(coords) == [probe.get(pc, 0) % p for pc in want]
 
 
 def test_packed_slots_hold_the_largest_growth():
@@ -863,6 +863,16 @@ def test_qq_inv_returns_exact_rationals():
     assert type(QQ.div(6, 3)) is int and QQ.div(6, 3) == 2
     with pytest.raises(ZeroDivisionError):
         QQ.inv(0)
+
+
+def test_rowspace_coords_are_canonical():
+    # the coordinates are read off the caller's vector at the pivots, and
+    # come back canonical, as axpy leaves scalars, however it wrote them
+    rs = RowSpace(GF(101), 2, [(1, 0)])
+    assert rs.coords({0: -1}) == (100,)
+    assert rs.coords((205, 0)) == (3,)
+    got = RowSpace(QQ, 2, [(1, 0)]).coords({0: F(2)})
+    assert got == (2,) and type(got[0]) is int
 
 
 def test_qq_scalars_entering_from_outside_are_canonical():

@@ -358,6 +358,28 @@ def test_every_trusted_site_names_its_rule():
     assert unlisted == []
 
 
+def test_every_import_is_used_and_at_module_level():
+    # a name a module imports is read somewhere in that module (__init__'s
+    # re-exports and __future__ features aside), and no relative import sits
+    # inside a function, where it would hide a cycle no module has
+    unused, nested = [], []
+    for path in sorted(Path(dualis.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                nested += [f"{path.name}:{fn.name}" for node in ast.walk(fn)
+                           if isinstance(node, ast.ImportFrom) and node.level]
+        if path.name == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                unused += [f"{path.name}:{name}" for alias in node.names
+                           if (name := (alias.asname or alias.name).split(".")[0]) not in read]
+    assert unused == []
+    assert nested == []
+
+
 def test_scalar_sums_go_through_the_kernel():
     # outside linalg's kernel and the Field itself, a hand-written scalar sum
     # (F.add, QQ.add, <expr>.field.add, or .sub) is left only in the radical's
